@@ -9,9 +9,11 @@
 //!   from per-iteration to per-cache-line-of-work.  For CRS the scaling
 //!   bakes in the lane waste of row-per-lane blocking (padded blocks /
 //!   `vl`), which is exactly the term SELL-C-σ shrinks.
-//! * **Traffic** comes from replaying the family's element-level address
-//!   stream through `ookami_mem::CacheSim` cold — `l1_l2_lines()` and
-//!   `l2_mem_lines()` per cache line of work feed `obs::derive::ecm`.
+//! * **Traffic** comes from feeding the family's element-level address
+//!   stream through a cold `ookami_mem::CacheSim` as it is generated
+//!   (`memtrace::AddrStream::simulate`, no materialized trace) —
+//!   `l1_l2_lines()` and `l2_mem_lines()` per cache line of work feed
+//!   `obs::derive::ecm`.
 //!
 //! Normalization: a "unit of work" is one useful element (a stored
 //! nonzero for SpMV, an array element for STREAM/stencil), and rows are
@@ -19,8 +21,9 @@
 //! them), matching the ECM literature's cycles-per-CL convention.
 
 use ookami_core::obs::derive::{ecm, EcmInput, EcmModel};
+use ookami_spmv::memtrace::AddrStream;
 use ookami_spmv::stream::StreamKernel;
-use ookami_spmv::{memtrace, Crs, GatherHints, SellCSigma, Stencil};
+use ookami_spmv::{Crs, GatherHints, SellCSigma, Stencil};
 use ookami_sve::Trace;
 use ookami_uarch::{analyze_cached, KernelLoop, Machine};
 
@@ -101,12 +104,12 @@ fn row(
     vl: usize,
     steps: f64,
     work_elems: f64,
-    addrs: &[(u64, usize)],
+    addrs: AddrStream,
 ) -> FamilyEcm {
     let elems_per_cl = m.mem.line_bytes as f64 / 8.0;
     let work_cls = work_elems / elems_per_cl;
     let (cy_it, fl_it, by_it) = core_cycles_per_iter(t, vl, m);
-    let stats = memtrace::simulate(m.mem, addrs);
+    let stats = addrs.simulate(m.mem);
     let input = EcmInput {
         t_core: cy_it * steps / work_cls,
         l1_l2_lines: stats.l1_l2_lines() as f64 / work_cls,
@@ -142,7 +145,7 @@ pub fn ecm_families(m: &Machine, vl: usize) -> Vec<FamilyEcm> {
         vl,
         mat.block_padded_nnz(vl) as f64 / vl as f64,
         mat.nnz() as f64,
-        &memtrace::crs_addr_trace(&mat),
+        AddrStream::Crs(&mat),
     ));
 
     // SpMV, SELL-C-σ with C = vl and σ covering the matrix: same nnz,
@@ -156,7 +159,7 @@ pub fn ecm_families(m: &Machine, vl: usize) -> Vec<FamilyEcm> {
         s.c,
         s.padded_nnz() as f64 / s.c as f64,
         s.nnz as f64,
-        &memtrace::sell_addr_trace(&s),
+        AddrStream::Sell(&s),
     ));
 
     for k in StreamKernel::ALL {
@@ -168,7 +171,7 @@ pub fn ecm_families(m: &Machine, vl: usize) -> Vec<FamilyEcm> {
             vl,
             (ECM_STREAM_N as f64 / vl as f64).ceil(),
             ECM_STREAM_N as f64,
-            &memtrace::stream_addr_trace(k, ECM_STREAM_N),
+            AddrStream::Stream(k, ECM_STREAM_N),
         ));
     }
 
@@ -181,7 +184,7 @@ pub fn ecm_families(m: &Machine, vl: usize) -> Vec<FamilyEcm> {
             vl,
             (st.n as f64 / vl as f64).ceil(),
             st.n as f64,
-            &memtrace::stencil_addr_trace(&st),
+            AddrStream::Stencil(&st),
         ));
     }
     rows

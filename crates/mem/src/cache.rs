@@ -9,24 +9,37 @@
 //!
 //! Two drivers share the level machinery: the serial [`CacheSim`] and the
 //! [`ShardedCacheSim`], which partitions the hierarchy by set index across
-//! the PR-1 worker pool so full-sweep replays stop being serial. Sharding
-//! is exact, not approximate — see the invariant note on
-//! [`ShardedCacheSim`].
+//! the worker pool so full-sweep replays stop being serial. Sharding is
+//! exact, not approximate — see the invariant note on [`ShardedCacheSim`].
 
 use ookami_core::par_chunks_mut;
 use ookami_uarch::MemSpec;
 
-/// One cache level: `sets × assoc` lines with LRU replacement.
+/// One cache level: `sets × assoc` ways with true-LRU replacement,
+/// addressed by line number.
+///
+/// A way stores the full line number as its tag, so a lookup needs no
+/// division, and a recency stamp from a per-level clock that ticks once
+/// per access; stamp 0 marks an empty way. Valid stamps are therefore
+/// distinct and ≥ 1, so a strict-min scan over a set's stamps picks its
+/// first empty way if it has one and its LRU way otherwise.
 #[derive(Debug, Clone)]
 struct Level {
-    line_bytes: usize,
     sets: usize,
+    /// `sets - 1` when `sets` is a power of two, so the set index is a
+    /// mask; other set counts (SKX's 24,576-set L3) index with `%`.
+    set_mask: Option<u64>,
     assoc: usize,
-    /// tags[set * assoc + way] = Some(tag); LRU order tracked per set by
-    /// `stamp` (monotone counter).
-    tags: Vec<Option<u64>>,
-    stamps: Vec<u64>,
+    /// Set `s` owns `ways[s * assoc..(s + 1) * assoc]`.
+    ways: Vec<Way>,
     clock: u64,
+}
+
+#[derive(Debug, Clone, Copy, Default)]
+struct Way {
+    line: u64,
+    /// Clock value of the last touch; 0 = empty.
+    stamp: u64,
 }
 
 /// Result of one line access at one level: hit, or a filling miss that may
@@ -38,63 +51,50 @@ struct LineOutcome {
 }
 
 impl Level {
-    fn new(bytes: usize, assoc: usize, line_bytes: usize) -> Self {
-        let sets = level_sets(bytes, assoc, line_bytes);
-        Level::with_geometry(sets, assoc, line_bytes)
-    }
-
     /// A level with an explicit set count — the sharded simulator carves
     /// each full-size level into `sets / n_shards`-set slices.
-    fn with_geometry(sets: usize, assoc: usize, line_bytes: usize) -> Self {
-        assert!(sets > 0 && assoc > 0 && line_bytes.is_power_of_two());
+    fn with_geometry(sets: usize, assoc: usize) -> Self {
+        assert!(sets > 0 && assoc > 0);
         Level {
-            line_bytes,
             sets,
+            set_mask: sets.is_power_of_two().then_some(sets as u64 - 1),
             assoc,
-            tags: vec![None; sets * assoc],
-            stamps: vec![0; sets * assoc],
+            ways: vec![Way::default(); sets * assoc],
             clock: 0,
         }
     }
 
-    /// Access one line by address; see [`Level::access_by_line`].
-    fn access(&mut self, addr: u64) -> LineOutcome {
-        self.access_by_line(addr / self.line_bytes as u64)
-    }
-
-    /// Access one line by line number. Misses fill (allocate-on-miss);
-    /// `evicted` reports whether the fill displaced a resident line.
-    fn access_by_line(&mut self, line: u64) -> LineOutcome {
-        let set = (line % self.sets as u64) as usize;
-        let tag = line / self.sets as u64;
+    /// Access one line. Misses fill (allocate-on-miss); `evicted` reports
+    /// whether the fill displaced a resident line.
+    #[inline]
+    fn access(&mut self, line: u64) -> LineOutcome {
+        let set = match self.set_mask {
+            Some(mask) => line & mask,
+            None => line % self.sets as u64,
+        } as usize;
         self.clock += 1;
-        let base = set * self.assoc;
-        // hit?
-        for w in 0..self.assoc {
-            if self.tags[base + w] == Some(tag) {
-                self.stamps[base + w] = self.clock;
+        let ways = &mut self.ways[set * self.assoc..(set + 1) * self.assoc];
+        // One pass: return on a hit, else remember the strict-min stamp.
+        let mut victim = 0;
+        let mut oldest = u64::MAX;
+        for (i, w) in ways.iter_mut().enumerate() {
+            if w.line == line && w.stamp != 0 {
+                w.stamp = self.clock;
                 return LineOutcome {
                     hit: true,
                     evicted: false,
                 };
             }
-        }
-        // miss: evict LRU way
-        let mut victim = 0;
-        let mut oldest = u64::MAX;
-        for w in 0..self.assoc {
-            if self.tags[base + w].is_none() {
-                victim = w;
-                break;
-            }
-            if self.stamps[base + w] < oldest {
-                oldest = self.stamps[base + w];
-                victim = w;
+            if w.stamp < oldest {
+                oldest = w.stamp;
+                victim = i;
             }
         }
-        let evicted = self.tags[base + victim].is_some();
-        self.tags[base + victim] = Some(tag);
-        self.stamps[base + victim] = self.clock;
+        let evicted = oldest != 0;
+        ways[victim] = Way {
+            line,
+            stamp: self.clock,
+        };
         LineOutcome {
             hit: false,
             evicted,
@@ -102,18 +102,104 @@ impl Level {
     }
 
     fn flush(&mut self) {
-        self.tags.iter_mut().for_each(|t| *t = None);
-        self.stamps.iter_mut().for_each(|s| *s = 0);
+        self.ways.fill(Way::default());
         self.clock = 0;
     }
 }
 
 /// Set count of a level sized `bytes` with `assoc` ways of `line_bytes`
-/// lines (the [`Level::new`] geometry rule, shared with the shard carver).
+/// lines (shared by the serial simulator and the shard carver).
 fn level_sets(bytes: usize, assoc: usize, line_bytes: usize) -> usize {
     assert!(bytes > 0 && assoc > 0 && line_bytes.is_power_of_two());
     let lines = (bytes / line_bytes).max(assoc);
     (lines / assoc).max(1)
+}
+
+/// Associativity of the optional L3 (not part of [`MemSpec`]).
+const L3_ASSOC: usize = 16;
+
+/// The inclusive L1/L2/(L3) stack walked one line at a time: all of
+/// [`CacheSim`], and one shard of [`ShardedCacheSim`].
+#[derive(Debug, Clone)]
+struct Hierarchy {
+    l1: Level,
+    l2: Level,
+    l3: Option<Level>,
+}
+
+impl Hierarchy {
+    /// The levels of `spec` with every set count divided by `n` (1 for
+    /// the full-size serial hierarchy).
+    fn carved(spec: &MemSpec, n: usize) -> Self {
+        let (s1, s2, s3) = spec_sets(spec);
+        Hierarchy {
+            l1: Level::with_geometry(s1 / n, spec.l1_assoc),
+            l2: Level::with_geometry(s2 / n, spec.l2_assoc),
+            l3: s3.map(|s| Level::with_geometry(s / n, L3_ASSOC)),
+        }
+    }
+
+    /// Walk `line` down the levels until one hits, filling every level
+    /// that missed, and count the outcome into `stats`.
+    #[inline]
+    fn access_line(&mut self, line: u64, stats: &mut AccessStats) {
+        stats.accesses += 1;
+        let o = self.l1.access(line);
+        stats.evictions += u64::from(o.evicted);
+        if o.hit {
+            stats.l1_hits += 1;
+        } else {
+            self.below_l1(line, stats);
+        }
+    }
+
+    /// The L1-miss tail of [`Hierarchy::access_line`]. Kept out of line so
+    /// that callers inline only the L1 probe: most accesses hit L1, and
+    /// inlining all three levels into an address generator's loops costs
+    /// more than the call.
+    #[inline(never)]
+    fn below_l1(&mut self, line: u64, stats: &mut AccessStats) {
+        let o = self.l2.access(line);
+        stats.evictions += u64::from(o.evicted);
+        if o.hit {
+            stats.l2_hits += 1;
+            return;
+        }
+        if let Some(l3) = &mut self.l3 {
+            let o = l3.access(line);
+            stats.evictions += u64::from(o.evicted);
+            if o.hit {
+                stats.l3_hits += 1;
+                return;
+            }
+        }
+        stats.mem += 1;
+    }
+
+    fn flush(&mut self) {
+        self.l1.flush();
+        self.l2.flush();
+        if let Some(l3) = &mut self.l3 {
+            l3.flush();
+        }
+    }
+}
+
+/// Full-size set counts of `spec`'s L1, L2 and optional L3.
+fn spec_sets(spec: &MemSpec) -> (usize, usize, Option<usize>) {
+    (
+        level_sets(spec.l1_bytes, spec.l1_assoc, spec.line_bytes),
+        level_sets(spec.l2_bytes, spec.l2_assoc, spec.line_bytes),
+        spec.l3
+            .map(|(bytes, _, _)| level_sets(bytes, L3_ASSOC, spec.line_bytes)),
+    )
+}
+
+/// Lines `[first, last]` touched by `bytes` bytes at `addr` (at least
+/// one), for lines of `1 << shift` bytes.
+#[inline]
+fn line_span(addr: u64, bytes: usize, shift: u32) -> (u64, u64) {
+    (addr >> shift, (addr + bytes.max(1) as u64 - 1) >> shift)
 }
 
 /// Hit/miss/eviction counts from a replay.
@@ -196,9 +282,9 @@ impl AccessStats {
 #[derive(Debug, Clone)]
 pub struct CacheSim {
     spec: MemSpec,
-    l1: Level,
-    l2: Level,
-    l3: Option<Level>,
+    /// `log2(line_bytes)`: the line of an address is `addr >> line_shift`.
+    line_shift: u32,
+    levels: Hierarchy,
     pub stats: AccessStats,
 }
 
@@ -206,11 +292,8 @@ impl CacheSim {
     pub fn new(spec: MemSpec) -> Self {
         CacheSim {
             spec,
-            l1: Level::new(spec.l1_bytes, spec.l1_assoc, spec.line_bytes),
-            l2: Level::new(spec.l2_bytes, spec.l2_assoc, spec.line_bytes),
-            l3: spec
-                .l3
-                .map(|(bytes, _lat, _)| Level::new(bytes, 16, spec.line_bytes)),
+            line_shift: spec.line_bytes.trailing_zeros(),
+            levels: Hierarchy::carved(&spec, 1),
             stats: AccessStats::default(),
         }
     }
@@ -220,38 +303,12 @@ impl CacheSim {
     }
 
     /// Access `bytes` starting at `addr`; each touched line counts once.
+    #[inline]
     pub fn access(&mut self, addr: u64, bytes: usize) {
-        let lb = self.spec.line_bytes as u64;
-        let first = addr / lb;
-        let last = (addr + bytes.max(1) as u64 - 1) / lb;
+        let (first, last) = line_span(addr, bytes, self.line_shift);
         for line in first..=last {
-            self.access_line(line * lb);
+            self.levels.access_line(line, &mut self.stats);
         }
-    }
-
-    fn access_line(&mut self, addr: u64) {
-        self.stats.accesses += 1;
-        let o = self.l1.access(addr);
-        self.stats.evictions += u64::from(o.evicted);
-        if o.hit {
-            self.stats.l1_hits += 1;
-            return;
-        }
-        let o = self.l2.access(addr);
-        self.stats.evictions += u64::from(o.evicted);
-        if o.hit {
-            self.stats.l2_hits += 1;
-            return;
-        }
-        if let Some(l3) = &mut self.l3 {
-            let o = l3.access(addr);
-            self.stats.evictions += u64::from(o.evicted);
-            if o.hit {
-                self.stats.l3_hits += 1;
-                return;
-            }
-        }
-        self.stats.mem += 1;
     }
 
     /// Replay a slice of (addr, bytes) accesses.
@@ -265,11 +322,7 @@ impl CacheSim {
 
     /// Drop all cached state and counters.
     pub fn reset(&mut self) {
-        self.l1.flush();
-        self.l2.flush();
-        if let Some(l3) = &mut self.l3 {
-            l3.flush();
-        }
+        self.levels.flush();
         self.stats = AccessStats::default();
     }
 
@@ -292,54 +345,26 @@ struct Shard {
     /// This shard's line residue: it owns lines with
     /// `line & (n_shards - 1) == r`.
     r: u64,
-    l1: Level,
-    l2: Level,
-    l3: Option<Level>,
+    levels: Hierarchy,
     stats: AccessStats,
 }
 
-impl Shard {
-    /// Walk one owned line (already shifted to shard-local numbering)
-    /// through the inclusive hierarchy — the shard-local image of
-    /// [`CacheSim::access_line`].
-    fn access_local_line(&mut self, line: u64) {
-        self.stats.accesses += 1;
-        let o = self.l1.access_by_line(line);
-        self.stats.evictions += u64::from(o.evicted);
-        if o.hit {
-            self.stats.l1_hits += 1;
-            return;
-        }
-        let o = self.l2.access_by_line(line);
-        self.stats.evictions += u64::from(o.evicted);
-        if o.hit {
-            self.stats.l2_hits += 1;
-            return;
-        }
-        if let Some(l3) = &mut self.l3 {
-            let o = l3.access_by_line(line);
-            self.stats.evictions += u64::from(o.evicted);
-            if o.hit {
-                self.stats.l3_hits += 1;
-                return;
-            }
-        }
-        self.stats.mem += 1;
-    }
-}
-
-/// [`CacheSim`] partitioned by set index across the PR-1 worker pool.
+/// [`CacheSim`] partitioned by set index across the worker pool.
 ///
-/// Sharding is **exact**: with `n` a power of two dividing every level's
-/// set count, a line `L = q·n + r` maps in the serial level (S sets) to
-/// set `n·(q mod S/n) + r` with tag `q div (S/n)`, and in shard `r`'s
-/// carved level (`S/n` sets, local line `q = L >> log2 n`) to set
-/// `q mod (S/n)` with the same tag — a bijection on (set, way-candidates).
+/// Sharding is **exact**. Take `n` a power of two dividing every level's
+/// set count `S`, and write a line as `L = q·n + r` with `r < n`. In the
+/// serial level, `L` lives in set `L mod S = n·(q mod S/n) + r` under tag
+/// `L`. Shard `r` sees the local line `q = L >> log2 n`; its carved level
+/// (`S/n` sets) puts it in set `q mod (S/n)` under tag `q`. For a fixed
+/// `r`, `L ↔ q` is one-to-one and the two set maps agree up to the fixed
+/// `·n + r`, so serial set `n·j + r` and carved set `j` of shard `r` hold
+/// the same lines, and two tags match in one iff they match in the other.
 /// Every access to one serial set carries the same residue `r`, so it
-/// lands in exactly one shard, and per-shard LRU clocks preserve the
-/// serial per-set recency order (LRU only compares stamps within a set).
-/// Hence hit/miss/eviction counts are identical to [`CacheSim`] on any
-/// trace, access by access — the property tests pin this.
+/// lands in exactly one shard, in serial order; per-shard LRU clocks
+/// preserve the serial per-set recency order (LRU only compares stamps
+/// within a set). Hence hit/miss/eviction counts are identical to
+/// [`CacheSim`] on any trace, access by access — the property tests pin
+/// this against the serial simulator and a textbook-LRU oracle.
 ///
 /// `n` is the largest power of two ≤ the requested shard count that
 /// divides every level's set count (1 if the hint is 0 or geometry
@@ -347,6 +372,8 @@ impl Shard {
 #[derive(Debug, Clone)]
 pub struct ShardedCacheSim {
     spec: MemSpec,
+    /// `log2(line_bytes)`, as in [`CacheSim`].
+    line_shift: u32,
     /// `log2(n_shards)`: shard of a line is `line & (n_shards - 1)`, the
     /// shard-local line is `line >> shift`.
     shift: u32,
@@ -355,11 +382,7 @@ pub struct ShardedCacheSim {
 
 impl ShardedCacheSim {
     pub fn new(spec: MemSpec, shards_hint: usize) -> Self {
-        let s1 = level_sets(spec.l1_bytes, spec.l1_assoc, spec.line_bytes);
-        let s2 = level_sets(spec.l2_bytes, spec.l2_assoc, spec.line_bytes);
-        let s3 = spec
-            .l3
-            .map(|(bytes, _, _)| level_sets(bytes, 16, spec.line_bytes));
+        let (s1, s2, s3) = spec_sets(&spec);
         // Largest power of two ≤ hint dividing every level's set count.
         let mut n = shards_hint.max(1).next_power_of_two();
         if n > shards_hint.max(1) {
@@ -370,19 +393,17 @@ impl ShardedCacheSim {
         if let Some(s3) = s3 {
             n = n.min(align(s3));
         }
-        let shift = n.trailing_zeros();
         let shards = (0..n as u64)
             .map(|r| Shard {
                 r,
-                l1: Level::with_geometry(s1 / n, spec.l1_assoc, spec.line_bytes),
-                l2: Level::with_geometry(s2 / n, spec.l2_assoc, spec.line_bytes),
-                l3: s3.map(|s| Level::with_geometry(s / n, 16, spec.line_bytes)),
+                levels: Hierarchy::carved(&spec, n),
                 stats: AccessStats::default(),
             })
             .collect();
         ShardedCacheSim {
             spec,
-            shift,
+            line_shift: spec.line_bytes.trailing_zeros(),
+            shift: n.trailing_zeros(),
             shards,
         }
     }
@@ -398,13 +419,13 @@ impl ShardedCacheSim {
 
     /// Serial access path (single address, no pool round trip).
     pub fn access(&mut self, addr: u64, bytes: usize) {
-        let lb = self.spec.line_bytes as u64;
         let mask = self.shards.len() as u64 - 1;
-        let first = addr / lb;
-        let last = (addr + bytes.max(1) as u64 - 1) / lb;
+        let (first, last) = line_span(addr, bytes, self.line_shift);
         for line in first..=last {
             let shard = &mut self.shards[(line & mask) as usize];
-            shard.access_local_line(line >> self.shift);
+            shard
+                .levels
+                .access_line(line >> self.shift, &mut shard.stats);
         }
     }
 
@@ -424,17 +445,16 @@ impl ShardedCacheSim {
     /// index order. `threads == 0` means auto.
     pub fn replay_par(&mut self, threads: usize, trace: &[(u64, usize)]) -> AccessStats {
         let before = self.stats();
-        let lb = self.spec.line_bytes as u64;
+        let line_shift = self.line_shift;
         let mask = self.shards.len() as u64 - 1;
         let shift = self.shift;
         par_chunks_mut(threads, &mut self.shards, 1, |_, chunk| {
             for shard in chunk.iter_mut() {
                 for &(addr, bytes) in trace {
-                    let first = addr / lb;
-                    let last = (addr + bytes.max(1) as u64 - 1) / lb;
+                    let (first, last) = line_span(addr, bytes, line_shift);
                     for line in first..=last {
                         if line & mask == shard.r {
-                            shard.access_local_line(line >> shift);
+                            shard.levels.access_line(line >> shift, &mut shard.stats);
                         }
                     }
                 }
@@ -455,11 +475,7 @@ impl ShardedCacheSim {
     /// Drop all cached state and counters.
     pub fn reset(&mut self) {
         for s in &mut self.shards {
-            s.l1.flush();
-            s.l2.flush();
-            if let Some(l3) = &mut s.l3 {
-                l3.flush();
-            }
+            s.levels.flush();
             s.stats = AccessStats::default();
         }
     }

@@ -1,7 +1,9 @@
 //! Property tests for the cache simulator: capacity, LRU and determinism
-//! invariants that must hold for arbitrary traces.
+//! invariants that must hold for arbitrary traces, and exact agreement
+//! with a textbook-LRU oracle on random geometries.
 
 use ookami_mem::cache::CacheSim;
+use ookami_mem::{AccessStats, ShardedCacheSim};
 use ookami_uarch::MemSpec;
 use proptest::prelude::*;
 
@@ -77,5 +79,219 @@ proptest! {
         let full = s2.replay(t);
         prop_assert!(full.mem >= partial.mem);
         prop_assert!(full.accesses >= partial.accesses);
+    }
+}
+
+/// One level of the oracle: per set, a recency list with the most recent
+/// line first. A hit moves the line to the front; a miss inserts it at
+/// the front and, past `assoc` lines, evicts the back.
+struct LruLevel {
+    assoc: usize,
+    sets: Vec<Vec<u64>>,
+}
+
+impl LruLevel {
+    fn new(sets: usize, assoc: usize) -> Self {
+        LruLevel {
+            assoc,
+            sets: vec![Vec::new(); sets],
+        }
+    }
+
+    /// `(hit, evicted)` for one line.
+    fn access(&mut self, line: u64) -> (bool, bool) {
+        let n = self.sets.len() as u64;
+        let set = &mut self.sets[(line % n) as usize];
+        if let Some(pos) = set.iter().position(|&l| l == line) {
+            set.remove(pos);
+            set.insert(0, line);
+            return (true, false);
+        }
+        set.insert(0, line);
+        let evicted = set.len() > self.assoc;
+        if evicted {
+            set.pop();
+        }
+        (false, evicted)
+    }
+}
+
+/// Textbook model of the inclusive hierarchy the simulators implement:
+/// walk the levels in order, fill every level that misses, stop at the
+/// first hit.
+struct LruOracle {
+    line_bytes: u64,
+    geometry: Vec<(usize, usize)>,
+    levels: Vec<LruLevel>,
+    stats: AccessStats,
+}
+
+impl LruOracle {
+    fn new(g: &Geometry) -> Self {
+        let mut o = LruOracle {
+            line_bytes: g.line_bytes as u64,
+            geometry: g.levels(),
+            levels: Vec::new(),
+            stats: AccessStats::default(),
+        };
+        o.reset();
+        o
+    }
+
+    fn reset(&mut self) {
+        self.levels = self
+            .geometry
+            .iter()
+            .map(|&(sets, assoc)| LruLevel::new(sets, assoc))
+            .collect();
+        self.stats = AccessStats::default();
+    }
+
+    fn replay(&mut self, trace: &[(u64, usize)]) -> AccessStats {
+        let before = self.stats;
+        for &(addr, bytes) in trace {
+            let last = (addr + bytes.max(1) as u64 - 1) / self.line_bytes;
+            for line in addr / self.line_bytes..=last {
+                self.stats.accesses += 1;
+                let mut served = None;
+                for (i, level) in self.levels.iter_mut().enumerate() {
+                    let (hit, evicted) = level.access(line);
+                    self.stats.evictions += u64::from(evicted);
+                    if hit {
+                        served = Some(i);
+                        break;
+                    }
+                }
+                match served {
+                    Some(0) => self.stats.l1_hits += 1,
+                    Some(1) => self.stats.l2_hits += 1,
+                    Some(_) => self.stats.l3_hits += 1,
+                    None => self.stats.mem += 1,
+                }
+            }
+        }
+        AccessStats {
+            accesses: self.stats.accesses - before.accesses,
+            l1_hits: self.stats.l1_hits - before.l1_hits,
+            l2_hits: self.stats.l2_hits - before.l2_hits,
+            l3_hits: self.stats.l3_hits - before.l3_hits,
+            mem: self.stats.mem - before.mem,
+            evictions: self.stats.evictions - before.evictions,
+        }
+    }
+}
+
+/// A random hierarchy: `(sets, assoc)` per level, the L3 at the
+/// simulator's fixed 16 ways.
+#[derive(Debug, Clone, Copy)]
+struct Geometry {
+    line_bytes: usize,
+    l1: (usize, usize),
+    l2: (usize, usize),
+    l3_sets: Option<usize>,
+}
+
+impl Geometry {
+    fn levels(&self) -> Vec<(usize, usize)> {
+        let mut v = vec![self.l1, self.l2];
+        v.extend(self.l3_sets.map(|s| (s, 16)));
+        v
+    }
+
+    fn spec(&self) -> MemSpec {
+        let bytes = |(sets, assoc): (usize, usize)| sets * assoc * self.line_bytes;
+        MemSpec {
+            line_bytes: self.line_bytes,
+            l1_bytes: bytes(self.l1),
+            l1_assoc: self.l1.1,
+            l1_latency: 4.0,
+            l2_bytes: bytes(self.l2),
+            l2_assoc: self.l2.1,
+            l2_latency: 14.0,
+            l2_shared_by: 1,
+            l3: self.l3_sets.map(|s| (bytes((s, 16)), 40.0, 1)),
+            mem_latency: 200.0,
+            l1_l2_bytes_per_cycle: 32.0,
+        }
+    }
+}
+
+/// Set counts `odd · 2^k`: powers of two (mask indexing, deep sharding)
+/// and counts like 3·2^k or 7 (`%` indexing, shallow or no sharding).
+fn sets_strategy(max_k: u32) -> impl Strategy<Value = usize> {
+    (0usize..5, 0..=max_k).prop_map(|(i, k)| [1, 1, 3, 5, 7][i] << k)
+}
+
+fn geometry_strategy() -> impl Strategy<Value = Geometry> {
+    (
+        4u32..=8,
+        (sets_strategy(4), 1usize..=8),
+        (sets_strategy(5), 1usize..=16),
+        (any::<bool>(), sets_strategy(4)),
+    )
+        .prop_map(|(shift, l1, l2, (has_l3, s3))| Geometry {
+            line_bytes: 1 << shift,
+            l1,
+            l2,
+            l3_sets: has_l3.then_some(s3),
+        })
+}
+
+/// Traces mixing a hot window (L1-sized or smaller: hits), a warm one
+/// (L2/L3-sized: lower-level hits and evictions) and a cold one (misses),
+/// with line-spanning vector accesses and power-of-two strides that pile
+/// onto few sets.
+fn oracle_trace_strategy() -> impl Strategy<Value = Vec<(u64, usize)>> {
+    prop::collection::vec(
+        prop_oneof![
+            (0u64..1 << 11, 1usize..16).prop_map(|(a, b)| (a, b)),
+            (0u64..1 << 11, 1usize..16).prop_map(|(a, b)| (a, b)),
+            (0u64..1 << 15, 1usize..16).prop_map(|(a, b)| (a, b)),
+            (0u64..1 << 18, 16usize..1024).prop_map(|(a, b)| (a, b)),
+            (0u64..64, 4u32..14).prop_map(|(i, k)| (i << k, 8usize)),
+        ],
+        1..600,
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Every `AccessStats` field of the serial simulator, the sharded
+    /// simulator's serial replay and its pool replay equals the textbook
+    /// oracle, before and after a `reset()` at a random point.
+    #[test]
+    fn simulators_equal_textbook_lru(
+        g in geometry_strategy(),
+        trace in oracle_trace_strategy(),
+        cut in 0usize..600,
+        hint in 1usize..16,
+    ) {
+        let (head, tail) = trace.split_at(cut % (trace.len() + 1));
+        let spec = g.spec();
+        let mut oracle = LruOracle::new(&g);
+        let want_head = oracle.replay(head);
+        oracle.reset();
+        let want_tail = oracle.replay(tail);
+
+        let mut serial = CacheSim::new(spec);
+        prop_assert_eq!(serial.replay(head.iter().copied()), want_head, "{:?}", g);
+        serial.reset();
+        prop_assert_eq!(serial.replay(tail.iter().copied()), want_tail, "{:?}", g);
+        prop_assert_eq!(serial.stats, want_tail);
+
+        let mut sharded = ShardedCacheSim::new(spec, hint);
+        let n = sharded.n_shards();
+        prop_assert_eq!(sharded.replay(head), want_head, "{:?} {} shards", g, n);
+        sharded.reset();
+        prop_assert_eq!(sharded.replay(tail), want_tail, "{:?} {} shards", g, n);
+
+        for threads in [0usize, 1, 2] {
+            let mut par = ShardedCacheSim::new(spec, hint);
+            prop_assert_eq!(par.replay_par(threads, head), want_head, "{:?} t{}", g, threads);
+            par.reset();
+            prop_assert_eq!(par.replay_par(threads, tail), want_tail, "{:?} t{}", g, threads);
+            prop_assert_eq!(par.stats(), want_tail);
+        }
     }
 }

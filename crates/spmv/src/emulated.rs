@@ -380,14 +380,15 @@ mod tests {
         if !obs::enabled() {
             return;
         }
-        let t0 = obs::snapshot();
+        // This thread's counters: tests running beside this one gather too.
+        let t0 = obs::thread_snapshot();
         let _ = run_crs_interp(&m, &x, 8, hints);
-        let crs_elems = obs::snapshot().since(&t0).get(Counter::GatherElems);
+        let crs_elems = obs::thread_snapshot().since(&t0).get(Counter::GatherElems);
         assert_eq!(crs_elems, 3 * m.nnz() as u64);
         let s = SellCSigma::from_crs(&m, 8, 29);
-        let t1 = obs::snapshot();
+        let t1 = obs::thread_snapshot();
         let _ = run_sell_interp(&s, &x, hints);
-        let sell_elems = obs::snapshot().since(&t1).get(Counter::GatherElems);
+        let sell_elems = obs::thread_snapshot().since(&t1).get(Counter::GatherElems);
         assert_eq!(sell_elems, m.nnz() as u64);
     }
 }

@@ -4,7 +4,9 @@
 //! Rather than hand-derive it, each family emits the exact `(addr,
 //! bytes)` sequence its kernel touches — value/column streams, the
 //! gathered `x` accesses in true column order, output stores — and
-//! `ookami_mem::CacheSim` replays it against a machine's `MemSpec`.
+//! `ookami_mem::CacheSim` replays it against a machine's `MemSpec`,
+//! either as generated ([`AddrStream::simulate`]) or from a materialized
+//! trace ([`simulate`]).
 //! Arrays live at disjoint 4 GiB-aligned bases so they never alias.
 //!
 //! A writeback simplification is deliberate: stores count as accesses at
@@ -25,72 +27,128 @@ const Y_BASE: u64 = 4 << 32;
 const PTR_BASE: u64 = 5 << 32;
 const B_BASE: u64 = 6 << 32;
 
-/// CRS SpMV: per row, one row-pointer load, then `val[j]` + `col[j]` +
-/// `x[col[j]]` per entry, then the `y[r]` store.
-pub fn crs_addr_trace(m: &Crs) -> Vec<(u64, usize)> {
-    let mut t = Vec::with_capacity(3 * m.nnz() + 2 * m.n_rows);
-    for r in 0..m.n_rows {
-        t.push((PTR_BASE + 8 * r as u64, 8));
-        for j in m.ptr[r]..m.ptr[r + 1] {
-            t.push((VAL_BASE + 8 * j as u64, 8));
-            t.push((COL_BASE + 8 * j as u64, 8));
-            t.push((X_BASE + 8 * m.col[j] as u64, 8));
-        }
-        t.push((Y_BASE + 8 * r as u64, 8));
-    }
-    t
+/// One family's element-level address stream. Each variant has exactly
+/// one generator, [`AddrStream::for_each`]; the materialized traces and
+/// the cold-cache replay are both views of it, so they cannot disagree.
+#[derive(Debug, Clone, Copy)]
+pub enum AddrStream<'a> {
+    /// CRS SpMV: per row, one row-pointer load, then `val[j]` + `col[j]` +
+    /// `x[col[j]]` per entry, then the `y[r]` store.
+    Crs(&'a Crs),
+    /// SELL-C-σ SpMV: the value/column slabs stream contiguously in chunk
+    /// order (padding included — it is fetched even though it is
+    /// predicated off), `x` is gathered for real entries only, `y` stored
+    /// per row.
+    Sell(&'a SellCSigma),
+    /// One STREAM pass of `n` elements (loads then store per element).
+    Stream(StreamKernel, usize),
+    /// One stencil sweep: neighbor gathers in offset order, the center
+    /// load, the output store.
+    Stencil(&'a Stencil),
 }
 
-/// SELL-C-σ SpMV: the value/column slabs stream contiguously in chunk
-/// order (padding included — it is fetched even though it is predicated
-/// off), `x` is gathered for real entries only, `y` stored per row.
-pub fn sell_addr_trace(s: &SellCSigma) -> Vec<(u64, usize)> {
-    let mut t = Vec::new();
-    for ck in 0..s.n_chunks() {
-        let p0 = ck * s.c;
-        let rows = (p0 + s.c).min(s.n_rows) - p0;
-        for j in 0..s.chunk_len[ck] {
-            for l in 0..s.c {
-                let o = s.chunk_ptr[ck] + j * s.c + l;
-                t.push((VAL_BASE + 8 * o as u64, 8));
-                t.push((COL_BASE + 8 * o as u64, 8));
-                if l < rows && j < s.row_len[p0 + l] {
-                    t.push((X_BASE + 8 * s.col[o] as u64, 8));
+impl AddrStream<'_> {
+    /// Call `visit(addr, bytes)` for every access, in kernel order.
+    #[inline]
+    pub fn for_each(self, mut visit: impl FnMut(u64, usize)) {
+        match self {
+            AddrStream::Crs(m) => {
+                for r in 0..m.n_rows {
+                    visit(PTR_BASE + 8 * r as u64, 8);
+                    for j in m.ptr[r]..m.ptr[r + 1] {
+                        visit(VAL_BASE + 8 * j as u64, 8);
+                        visit(COL_BASE + 8 * j as u64, 8);
+                        visit(X_BASE + 8 * m.col[j] as u64, 8);
+                    }
+                    visit(Y_BASE + 8 * r as u64, 8);
+                }
+            }
+            AddrStream::Sell(s) => {
+                for ck in 0..s.n_chunks() {
+                    let p0 = ck * s.c;
+                    let rows = (p0 + s.c).min(s.n_rows) - p0;
+                    for j in 0..s.chunk_len[ck] {
+                        for l in 0..s.c {
+                            let o = s.chunk_ptr[ck] + j * s.c + l;
+                            visit(VAL_BASE + 8 * o as u64, 8);
+                            visit(COL_BASE + 8 * o as u64, 8);
+                            if l < rows && j < s.row_len[p0 + l] {
+                                visit(X_BASE + 8 * s.col[o] as u64, 8);
+                            }
+                        }
+                    }
+                    for l in 0..rows {
+                        visit(Y_BASE + 8 * s.row_order[p0 + l] as u64, 8);
+                    }
+                }
+            }
+            AddrStream::Stream(k, n) => {
+                for i in 0..n {
+                    visit(X_BASE + 8 * i as u64, 8);
+                    if k.inputs() == 2 {
+                        visit(B_BASE + 8 * i as u64, 8);
+                    }
+                    visit(Y_BASE + 8 * i as u64, 8);
+                }
+            }
+            AddrStream::Stencil(st) => {
+                for i in 0..st.n {
+                    for &d in &st.offsets {
+                        visit(X_BASE + 8 * (((i + d) & (st.n - 1)) as u64), 8);
+                    }
+                    visit(X_BASE + 8 * i as u64, 8);
+                    visit(Y_BASE + 8 * i as u64, 8);
                 }
             }
         }
-        for l in 0..rows {
-            t.push((Y_BASE + 8 * s.row_order[p0 + l] as u64, 8));
+    }
+
+    /// Number of accesses [`AddrStream::for_each`] visits.
+    fn accesses(self) -> usize {
+        match self {
+            AddrStream::Crs(m) => 3 * m.nnz() + 2 * m.n_rows,
+            AddrStream::Sell(s) => 2 * s.padded_nnz() + s.nnz + s.n_rows,
+            AddrStream::Stream(k, n) => (k.inputs() + 1) * n,
+            AddrStream::Stencil(st) => (st.points() + 1) * st.n,
         }
     }
-    t
+
+    /// The stream as a `Vec` of `(addr, bytes)`.
+    pub fn to_vec(self) -> Vec<(u64, usize)> {
+        let mut t = Vec::with_capacity(self.accesses());
+        self.for_each(|a, b| t.push((a, b)));
+        debug_assert_eq!(t.len(), self.accesses());
+        t
+    }
+
+    /// Replay the stream against a cold hierarchy of `spec` as it is
+    /// generated — equal to [`simulate`] over [`AddrStream::to_vec`],
+    /// without materializing the trace.
+    pub fn simulate(self, spec: MemSpec) -> AccessStats {
+        let mut sim = CacheSim::new(spec);
+        self.for_each(|a, b| sim.access(a, b));
+        sim.stats
+    }
 }
 
-/// One STREAM pass of `n` elements (loads then store per element).
+/// [`AddrStream::Crs`], materialized.
+pub fn crs_addr_trace(m: &Crs) -> Vec<(u64, usize)> {
+    AddrStream::Crs(m).to_vec()
+}
+
+/// [`AddrStream::Sell`], materialized.
+pub fn sell_addr_trace(s: &SellCSigma) -> Vec<(u64, usize)> {
+    AddrStream::Sell(s).to_vec()
+}
+
+/// [`AddrStream::Stream`], materialized.
 pub fn stream_addr_trace(k: StreamKernel, n: usize) -> Vec<(u64, usize)> {
-    let mut t = Vec::with_capacity((k.inputs() + 1) * n);
-    for i in 0..n {
-        t.push((X_BASE + 8 * i as u64, 8));
-        if k.inputs() == 2 {
-            t.push((B_BASE + 8 * i as u64, 8));
-        }
-        t.push((Y_BASE + 8 * i as u64, 8));
-    }
-    t
+    AddrStream::Stream(k, n).to_vec()
 }
 
-/// One stencil sweep: neighbor gathers in offset order, the center load,
-/// the output store.
+/// [`AddrStream::Stencil`], materialized.
 pub fn stencil_addr_trace(st: &Stencil) -> Vec<(u64, usize)> {
-    let mut t = Vec::with_capacity((st.points() + 1) * st.n);
-    for i in 0..st.n {
-        for &d in &st.offsets {
-            t.push((X_BASE + 8 * (((i + d) & (st.n - 1)) as u64), 8));
-        }
-        t.push((X_BASE + 8 * i as u64, 8));
-        t.push((Y_BASE + 8 * i as u64, 8));
-    }
-    t
+    AddrStream::Stencil(st).to_vec()
 }
 
 /// Replay an address trace against a cold hierarchy of `spec`.

@@ -21,11 +21,12 @@ fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
-/// The deterministic model counters an executor accrues over a closure.
+/// The deterministic model counters a serial executor accrues over a
+/// closure, on this thread only: the tests beside this one count too.
 fn counted(f: impl FnOnce()) -> Vec<(&'static str, u64)> {
-    let t0 = obs::snapshot();
+    let t0 = obs::thread_snapshot();
     f();
-    obs::snapshot().since(&t0).nonzero()
+    obs::thread_snapshot().since(&t0).nonzero()
 }
 
 proptest! {
