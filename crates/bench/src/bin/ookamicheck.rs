@@ -21,8 +21,8 @@
 
 use ookami_bench::family;
 use ookami_check::{
-    detect_races, injected_race_events, injected_sampler_race_events, render_all, to_json,
-    validate_trace, verify, MutantVerdict, Program,
+    detect_races, injected_race_events, render_all, to_json, validate_trace, verify, MutantVerdict,
+    Program,
 };
 use ookami_core::obs::Json;
 use ookami_core::{timeline, Schedule};
@@ -35,8 +35,7 @@ fn usage() -> ! {
     println!(
         "ookamicheck — static verifier + translation validator + race gate\n\
          \n\
-         usage: ookamicheck [--mutations] [--tv] [--inject-race]\n\
-         \x20                [--inject-sampler-race] [--inject-tv]\n\
+         usage: ookamicheck [--mutations] [--tv] [--inject-race] [--inject-tv]\n\
          \x20                [--json <path>] [--help]\n\
          \n\
          options:\n\
@@ -52,9 +51,6 @@ fn usage() -> ! {
                            stream; exits 1 when the race is flagged (the\n\
                            caller inverts this, like benchdiff's\n\
                            --inject-regression)\n\
-           --inject-sampler-race\n\
-                           same, with a telemetry-actor stream: one sampler\n\
-                           ring slot written by two unordered threads\n\
            --inject-tv     feed the validator a trail with a tampered stage;\n\
                            exits 1 when TV rejects it (caller inverts)\n\
            --json <path>   machine-readable report (default\n\
@@ -393,21 +389,11 @@ fn run_inject_tv() -> i32 {
     }
 }
 
-/// Record a real pool run (all three schedules + a trace replay) with
-/// the telemetry actors live — a background `Sampler` thread and
-/// `serve` connection threads — and race-check its timeline. The actor
-/// fork/write/join events those background threads emit must all prove
-/// ordered. Returns (events, races) — only meaningful with obs
-/// compiled in.
+/// Record a real pool run (all three schedules + a trace replay) and
+/// race-check its timeline. Returns (events, races) — only meaningful
+/// with obs compiled in.
 fn race_check_kernels() -> (usize, usize) {
     timeline::start(timeline::DEFAULT_CAPACITY);
-    // Background telemetry actors run *during* the pool workload, so
-    // their timeline events interleave with the fork/join protocol.
-    let mut sampler =
-        ookami_core::telemetry::Sampler::start(std::time::Duration::from_millis(5), 8);
-    let server =
-        ookami_core::telemetry::serve::spawn_in("127.0.0.1:0", std::path::PathBuf::from("target"))
-            .ok();
     let n = 10_000;
     let mut buf = vec![0.0f64; n];
     for sched in [
@@ -424,31 +410,8 @@ fn race_check_kernels() -> (usize, usize) {
     // A trace replay drives the pool through the static path once more.
     let xs: Vec<f64> = (0..4096).map(|i| f64::from(i) * 1.0e-3).collect();
     std::hint::black_box(loops_em::simple_trace(8).par_map(4, &xs));
-    sampler.force_sample();
-    if let Some(srv) = &server {
-        // Two requests → two connection actors in the event stream.
-        for path in ["/metrics", "/samples"] {
-            let _ = ookami_core::telemetry::serve::http_get(srv.addr(), path);
-        }
-    }
-    if let Some(srv) = server {
-        srv.stop();
-    }
-    sampler.stop();
     timeline::stop();
     let events = timeline::export_events();
-    let actor_events = events
-        .iter()
-        .filter(|e| {
-            matches!(
-                e.payload,
-                timeline::EventPayload::ActorFork { .. }
-                    | timeline::EventPayload::ActorWrite { .. }
-                    | timeline::EventPayload::ActorJoin { .. }
-            )
-        })
-        .count();
-    println!("telemetry actors: {actor_events} fork/write/join event(s) in the stream");
     let races = detect_races(&events);
     for r in &races {
         eprintln!("race: {r}");
@@ -461,7 +424,6 @@ fn main() {
     let mut mutations = false;
     let mut tv = false;
     let mut inject_race = false;
-    let mut inject_sampler_race = false;
     let mut inject_tv = false;
     let mut json_path: Option<String> = None;
     let mut it = args.iter();
@@ -470,7 +432,6 @@ fn main() {
             "--mutations" => mutations = true,
             "--tv" => tv = true,
             "--inject-race" => inject_race = true,
-            "--inject-sampler-race" => inject_sampler_race = true,
             "--inject-tv" => inject_tv = true,
             "--json" => {
                 if let Some(p) = it.next() {
@@ -512,18 +473,6 @@ fn main() {
         }
         for r in &races {
             println!("inject-race: flagged {r}");
-        }
-        std::process::exit(1);
-    }
-
-    if inject_sampler_race {
-        let races = detect_races(&injected_sampler_race_events());
-        if races.is_empty() {
-            eprintln!("inject-sampler-race: detector missed the unordered actor writes");
-            std::process::exit(0); // caller treats exit 0 as THE failure
-        }
-        for r in &races {
-            println!("inject-sampler-race: flagged {r}");
         }
         std::process::exit(1);
     }

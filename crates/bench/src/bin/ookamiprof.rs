@@ -1,11 +1,12 @@
 //! Profiler probe: drives the exp kernel through all three executors
 //! (interpreter, trace replayer, compiled closures) under `obs::region`
-//! spans with the timeline recording, then checks the live-telemetry
-//! layer end to end:
+//! spans with the timeline recording, then checks both records of a
+//! region close end to end:
 //!
-//! * region-latency **histogram counts** and **span-tree counts** must be
+//! * region-latency **histogram counts** (from the `obs::spans` registry)
+//!   and **span-tree counts** (folded from the timeline) must be
 //!   bit-identical across the three executors (each ran exactly `reps`
-//!   times, and the telemetry layer must not invent or lose a closing);
+//!   times, and neither record may invent or lose a closing);
 //! * the 13 deterministic identity counters must be exactly equal across
 //!   executors (the svereplay invariant, re-checked through the profiler
 //!   path);
@@ -22,11 +23,8 @@
 //! ```text
 //! cargo run -p ookami-bench --features obs --bin ookamiprof --release [--smoke]
 //! ```
-//!
-//! `--serve <addr>` embeds the live telemetry endpoint for the duration
-//! of the run (`/metrics`, `/profile`, `/trace`, `/samples`).
 
-use ookami_core::telemetry::{self, spantree, HistKind};
+use ookami_core::telemetry::spantree;
 use ookami_core::{obs, timeline};
 use ookami_vecmath::exp::{exp_slice_interp, exp_trace, ExpVariant};
 use ookami_vecmath::ulp::sample_range;
@@ -53,10 +51,9 @@ const IDENTITY_COUNTERS: [&str; 13] = [
 
 fn usage() -> ! {
     eprintln!(
-        "ookamiprof: span-tree profiler probe with live-telemetry identity gates\n\
-         usage: ookamiprof [--smoke] [--serve <addr>] [--out <path>] [--collapsed <path>]\n\
+        "ookamiprof: span-tree profiler probe with span-record identity gates\n\
+         usage: ookamiprof [--smoke] [--out <path>] [--collapsed <path>]\n\
            --smoke            CI-sized run (no perf floors apply in smoke mode)\n\
-           --serve <addr>     serve /metrics /profile /trace /samples during the run\n\
            --out <path>       report path (default BENCH_prof.json)\n\
            --collapsed <path> flamegraph export (default target/PROFILE.collapsed)"
     );
@@ -77,17 +74,12 @@ fn delta_13(f: impl FnOnce()) -> [u64; 13] {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut smoke = false;
-    let mut serve_addr: Option<String> = None;
     let mut out_path = "BENCH_prof.json".to_string();
     let mut collapsed_path = "target/PROFILE.collapsed".to_string();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--smoke" => smoke = true,
-            "--serve" => match it.next() {
-                Some(addr) => serve_addr = Some(addr.clone()),
-                None => usage(),
-            },
             "--out" => match it.next() {
                 Some(p) => out_path.clone_from(p),
                 None => usage(),
@@ -109,15 +101,6 @@ fn main() {
              no-ops; identity gates are skipped"
         );
     }
-    let server = serve_addr.as_deref().map(|addr| {
-        let handle = telemetry::serve::spawn(addr).unwrap_or_else(|e| {
-            eprintln!("error: cannot bind --serve {addr}: {e}");
-            std::process::exit(2);
-        });
-        println!("serving live telemetry on http://{}/", handle.addr());
-        handle
-    });
-    let sampler = telemetry::Sampler::start(std::time::Duration::from_millis(100), 64);
 
     obs::reset();
     let vl = 8usize;
@@ -183,7 +166,6 @@ fn main() {
             }
         });
     }
-    sampler.force_sample();
     timeline::stop();
 
     // --- Telemetry identity gates (obs builds only; no-ops otherwise) ---
@@ -191,13 +173,13 @@ fn main() {
     let execs = ["exec_interp", "exec_replay", "exec_compiled"];
     let short = ["interp", "replay", "compiled"];
     if obs::enabled() {
-        let hists = telemetry::snapshots();
+        let spans = obs::spans();
         let tree = spantree::profile();
         let mut hist_ok = true;
         let mut tree_ok = true;
         for (exec, tag) in execs.iter().zip(short.iter()) {
             let path = format!("ookamiprof/{exec}");
-            let Some(h) = hists.get(&(HistKind::RegionLatencyNs, path.clone())) else {
+            let Some(h) = spans.iter().find(|s| s.path == path).map(|s| &s.latency) else {
                 eprintln!("FAIL: no region-latency histogram for {path}");
                 hist_ok = false;
                 continue;
@@ -270,13 +252,9 @@ fn main() {
         report.flag("gate", true);
     }
 
-    telemetry::validate_prometheus(&telemetry::prometheus())
-        .expect("own Prometheus exposition validates");
     report.attach_obs(&obs::snapshot());
     report.write(&out_path).expect("write report");
     println!("wrote {out_path}");
-    drop(sampler);
-    drop(server);
     if failures > 0 {
         eprintln!("ookamiprof: {failures} identity gate(s) failed");
         std::process::exit(1);

@@ -7,10 +7,10 @@
 //! ```
 //!
 //! Writes `BENCH_obs.json` (shared `ookami-bench-v1` schema, self-validated
-//! before the write) and prints the Prometheus text exposition of the
-//! session registry. Without `--features obs` the slice still runs — the
-//! counter columns are just zero and the report says `obs_enabled: false`,
-//! which is itself worth a smoke test (the no-op path must not crash).
+//! before the write) and prints the non-zero counters. Without
+//! `--features obs` the slice still runs — the counter columns are just
+//! zero and the report says `obs_enabled: false`, which is itself worth a
+//! smoke test (the no-op path must not crash).
 
 use ookami_core::obs::{self, Counter, Json};
 use ookami_core::timeline;
@@ -34,15 +34,13 @@ fn usage() -> ! {
     println!(
         "ookamistat — run a slice of every workload family with the obs counters on\n\
          \n\
-         usage: ookamistat [--smoke] [--trace <path>] [--serve <addr>] [--help]\n\
+         usage: ookamistat [--smoke] [--trace <path>] [--help]\n\
          \n\
          options:\n\
            --smoke         small problem sizes (CI); default is the full slice\n\
            --trace <path>  record a timeline and write a Chrome trace-event JSON\n\
                            file to <path> (open in chrome://tracing or Perfetto);\n\
                            requires --features obs for a non-empty trace\n\
-           --serve <addr>  serve live /metrics /profile /trace /samples on <addr>\n\
-                           for the duration of the run (port 0 = ephemeral)\n\
            --help          this text\n\
          \n\
          outputs: BENCH_obs.json (ookami-bench-v1 schema) and, with --trace,\n\
@@ -55,7 +53,6 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut smoke = false;
     let mut trace_path: Option<String> = None;
-    let mut serve_addr: Option<String> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -65,14 +62,6 @@ fn main() {
                     trace_path = Some(p.clone());
                 } else {
                     eprintln!("error: --trace needs a path argument");
-                    std::process::exit(2);
-                }
-            }
-            "--serve" => {
-                if let Some(a) = it.next() {
-                    serve_addr = Some(a.clone());
-                } else {
-                    eprintln!("error: --serve needs a host:port argument");
                     std::process::exit(2);
                 }
             }
@@ -90,18 +79,8 @@ fn main() {
              rebuild with --features obs for real counts"
         );
     }
-    // Bind before the workload so a watcher can follow the run live; the
-    // handle's Drop stops the server when main returns.
-    let _server = serve_addr.as_deref().map(|addr| {
-        let handle = ookami_core::telemetry::serve::spawn(addr).unwrap_or_else(|e| {
-            eprintln!("error: cannot bind --serve {addr}: {e}");
-            std::process::exit(2);
-        });
-        println!("serving live telemetry on http://{}/", handle.addr());
-        handle
-    });
     obs::reset();
-    if trace_path.is_some() || serve_addr.is_some() {
+    if trace_path.is_some() {
         timeline::start(timeline::DEFAULT_CAPACITY);
     }
     let mut report = obs::BenchReport::new("ookamistat", if smoke { "smoke" } else { "full" });
@@ -241,11 +220,6 @@ fn main() {
         );
         println!();
     }
-    println!("--- prometheus ---");
-    // The telemetry exposition is a superset of obs::prometheus(): the
-    // same counter gauges plus the region/chunk/barrier histograms.
-    print!("{}", ookami_core::telemetry::prometheus());
-
     report
         .write("BENCH_obs.json")
         .expect("write BENCH_obs.json");

@@ -18,16 +18,14 @@
 //!   `TVxxxx` codes through the same [`diag`] machinery;
 //! * [`race`] — a happens-before race detector replaying the pool
 //!   runtime's timeline events with vector clocks, reporting overlapping
-//!   chunk writes not ordered by the fork/join protocol — including the
-//!   telemetry sampler and HTTP-server threads, modeled as actors with
-//!   fork/write/join edges in their own key space.
+//!   chunk writes not ordered by the fork/join protocol.
 //!
 //! The `ookamicheck` binary (crates/bench) drives all three as CI gates:
 //! every shipped workload trace must verify clean, every family trace
 //! must prove pass-by-pass under `--tv`, the [`corpus`] and
 //! [`tv::tv_corpus_entries`] mutants must each report their expected
-//! codes, and shipped kernels must be race-free while `--inject-race`,
-//! `--inject-sampler-race`, and `--inject-tv` are flagged.
+//! codes, and shipped kernels must be race-free while `--inject-race`
+//! and `--inject-tv` are flagged.
 
 pub mod corpus;
 pub mod diag;
@@ -38,7 +36,7 @@ pub mod verify;
 
 pub use diag::{render, render_all, to_json, Code, Diag, Severity};
 pub use program::{Convention, Program};
-pub use race::{detect_races, injected_race_events, injected_sampler_race_events, Race};
+pub use race::{detect_races, injected_race_events, Race};
 pub use tv::{validate_trace, validate_trail, MutantVerdict, TvReport};
 pub use verify::verify;
 

@@ -19,16 +19,6 @@
 //! kernels must report zero races; [`injected_race_events`] builds the
 //! overlapping-write stream the self-test (and `ookamicheck
 //! --inject-race`) must flag.
-//!
-//! Long-lived background threads — the `telemetry::Sampler` thread and
-//! `telemetry::serve` connection threads — are modeled as **actors**:
-//! `ActorFork` (on the spawning thread) snapshots the spawner's clock,
-//! each `ActorWrite` synchronizes with that snapshot before recording a
-//! write in the actor's own range space (keyed separately from pool
-//! loops), and `ActorJoin` (after the thread join) absorbs the writer
-//! clocks. Two unordered overlapping `ActorWrite`s to one actor's state
-//! race exactly like chunk writes; [`injected_sampler_race_events`]
-//! builds that stream for `ookamicheck --inject-sampler-race`.
 
 use std::collections::HashMap;
 
@@ -73,16 +63,17 @@ pub struct Race {
 
 impl std::fmt::Display for Race {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        if self.loop_id & (1u64 << 63) != 0 {
-            write!(f, "actor {}", self.loop_id & !(1u64 << 63))?;
-        } else {
-            write!(f, "loop {}", self.loop_id)?;
-        }
         write!(
             f,
-            ": thread {} writes [{}, {}) unordered with thread {} \
+            "loop {}: thread {} writes [{}, {}) unordered with thread {} \
              writing [{}, {})",
-            self.tid_a, self.range_a.0, self.range_a.1, self.tid_b, self.range_b.0, self.range_b.1
+            self.loop_id,
+            self.tid_a,
+            self.range_a.0,
+            self.range_a.1,
+            self.tid_b,
+            self.range_b.0,
+            self.range_b.1
         )
     }
 }
@@ -95,12 +86,6 @@ struct Region {
     synced: Vec<u64>,
 }
 
-/// Write-range key for actor writes: actors live in their own id space,
-/// disjoint from pool `loop_id`s (which are small counters).
-fn actor_key(actor: u64) -> u64 {
-    (1u64 << 63) | actor
-}
-
 /// Replay `events` (sorted by `(ts_ns, tid)`, as `export_events` returns
 /// them) and report every pair of overlapping chunk writes not ordered by
 /// the fork/join protocol.
@@ -108,57 +93,7 @@ pub fn detect_races(events: &[TimelineEvent]) -> Vec<Race> {
     let mut clocks: HashMap<u64, Vc> = HashMap::new();
     let mut regions: Vec<Region> = Vec::new();
     let mut writes: HashMap<u64, Vec<Write>> = HashMap::new();
-    // Actor bookkeeping: the spawner's clock at fork, and which threads
-    // wrote on the actor's behalf (to absorb at join).
-    let mut actor_fork_vc: HashMap<u64, Vc> = HashMap::new();
-    let mut actor_writers: HashMap<u64, Vec<u64>> = HashMap::new();
     let mut races = Vec::new();
-
-    // One chunk/actor write: synchronize with `sync_vc` if given, tick,
-    // then race-check against every prior write under the same key.
-    let record_write = |clocks: &mut HashMap<u64, Vc>,
-                        writes: &mut HashMap<u64, Vec<Write>>,
-                        races: &mut Vec<Race>,
-                        tid: u64,
-                        key: u64,
-                        start: u64,
-                        len: u64,
-                        sync_vc: Option<&Vc>| {
-        if let Some(vc) = sync_vc {
-            vc_join(clocks.entry(tid).or_default(), vc);
-        }
-        vc_tick(clocks, tid);
-        let vc = clocks.get(&tid).cloned().unwrap_or_default();
-        let own = vc.get(&tid).copied().unwrap_or(0);
-        let w = Write {
-            tid,
-            start,
-            end: start + len,
-            own,
-            vc,
-        };
-        let ws = writes.entry(key).or_default();
-        for prev in ws.iter() {
-            if prev.tid == tid {
-                continue; // program order on one thread
-            }
-            if prev.end <= w.start || w.end <= prev.start {
-                continue; // disjoint ranges
-            }
-            let prev_hb_w = w.vc.get(&prev.tid).copied().unwrap_or(0) >= prev.own;
-            let w_hb_prev = prev.vc.get(&w.tid).copied().unwrap_or(0) >= w.own;
-            if !prev_hb_w && !w_hb_prev {
-                races.push(Race {
-                    loop_id: key,
-                    tid_a: prev.tid,
-                    range_a: (prev.start, prev.end),
-                    tid_b: w.tid,
-                    range_b: (w.start, w.end),
-                });
-            }
-        }
-        ws.push(w);
-    };
 
     for ev in events {
         match ev.payload {
@@ -176,61 +111,44 @@ pub fn detect_races(events: &[TimelineEvent]) -> Vec<Race> {
                 len,
                 ..
             } => {
-                let mut sync: Option<Vc> = None;
                 if let Some(region) = regions.last_mut() {
                     if !region.synced.contains(&ev.tid) {
                         region.synced.push(ev.tid);
-                        sync = Some(region.fork_vc.clone());
+                        let fork_vc = region.fork_vc.clone();
+                        vc_join(clocks.entry(ev.tid).or_default(), &fork_vc);
                     }
                 }
-                record_write(
-                    &mut clocks,
-                    &mut writes,
-                    &mut races,
-                    ev.tid,
-                    loop_id,
-                    start,
-                    len,
-                    sync.as_ref(),
-                );
-            }
-            EventPayload::ActorFork { actor } => {
                 vc_tick(&mut clocks, ev.tid);
-                actor_fork_vc.insert(actor, clocks.get(&ev.tid).cloned().unwrap_or_default());
-            }
-            EventPayload::ActorWrite { actor, start, len } => {
-                // Every actor write synchronizes with the fork snapshot
-                // (joining a fixed clock is idempotent), so an actor
-                // serviced by several OS threads over its life still
-                // orders against the spawn point.
-                let sync = actor_fork_vc.get(&actor).cloned();
-                let writers = actor_writers.entry(actor).or_default();
-                if !writers.contains(&ev.tid) {
-                    writers.push(ev.tid);
-                }
-                record_write(
-                    &mut clocks,
-                    &mut writes,
-                    &mut races,
-                    ev.tid,
-                    actor_key(actor),
+                let vc = clocks.get(&ev.tid).cloned().unwrap_or_default();
+                let own = vc.get(&ev.tid).copied().unwrap_or(0);
+                let w = Write {
+                    tid: ev.tid,
                     start,
-                    len,
-                    sync.as_ref(),
-                );
-            }
-            EventPayload::ActorJoin { actor } => {
-                let writer_clocks: Vec<Vc> = actor_writers
-                    .remove(&actor)
-                    .unwrap_or_default()
-                    .iter()
-                    .filter_map(|t| clocks.get(t).cloned())
-                    .collect();
-                let jc = clocks.entry(ev.tid).or_default();
-                for wc in &writer_clocks {
-                    vc_join(jc, wc);
+                    end: start + len,
+                    own,
+                    vc,
+                };
+                let ws = writes.entry(loop_id).or_default();
+                for prev in ws.iter() {
+                    if prev.tid == ev.tid {
+                        continue; // program order on one thread
+                    }
+                    if prev.end <= w.start || w.end <= prev.start {
+                        continue; // disjoint ranges
+                    }
+                    let prev_hb_w = w.vc.get(&prev.tid).copied().unwrap_or(0) >= prev.own;
+                    let w_hb_prev = prev.vc.get(&w.tid).copied().unwrap_or(0) >= w.own;
+                    if !prev_hb_w && !w_hb_prev {
+                        races.push(Race {
+                            loop_id,
+                            tid_a: prev.tid,
+                            range_a: (prev.start, prev.end),
+                            tid_b: w.tid,
+                            range_b: (w.start, w.end),
+                        });
+                    }
                 }
-                vc_tick(&mut clocks, ev.tid);
+                ws.push(w);
             }
             EventPayload::Join { .. } => {
                 // Close the innermost region this thread forked.
@@ -286,82 +204,6 @@ pub fn injected_race_events() -> Vec<TimelineEvent> {
         ev(0, 90, EventPayload::Fork { parts: 1 }),
         ev(1, 95, chunk(8, 0, 100)),
         ev(0, 99, EventPayload::Join { parts: 1 }),
-    ]
-}
-
-/// A synthetic sampler-shaped stream with an actor bug: one actor's ring
-/// slot 5 is written by two different threads with nothing ordering
-/// them — the shape of a sampler whose `take()` leaked onto a second
-/// thread without a fork edge. Surrounding well-formed actor traffic
-/// (fork → writes → join) must stay clean. Drives `ookamicheck
-/// --inject-sampler-race`.
-pub fn injected_sampler_race_events() -> Vec<TimelineEvent> {
-    let ev = |tid, ts_ns, name: &str, payload| TimelineEvent {
-        tid,
-        ts_ns,
-        name: name.to_string(),
-        payload,
-    };
-    vec![
-        // A well-behaved sampler: forked on thread 0, writes disjoint
-        // slots from its own thread, joined back.
-        ev(0, 0, "actor_fork", EventPayload::ActorFork { actor: 1 }),
-        ev(
-            3,
-            10,
-            "actor_write",
-            EventPayload::ActorWrite {
-                actor: 1,
-                start: 1,
-                len: 1,
-            },
-        ),
-        ev(
-            3,
-            20,
-            "actor_write",
-            EventPayload::ActorWrite {
-                actor: 1,
-                start: 2,
-                len: 1,
-            },
-        ),
-        ev(0, 30, "actor_join", EventPayload::ActorJoin { actor: 1 }),
-        // The buggy actor: slot 5 written from two threads, unordered.
-        ev(0, 40, "actor_fork", EventPayload::ActorFork { actor: 2 }),
-        ev(
-            4,
-            50,
-            "actor_write",
-            EventPayload::ActorWrite {
-                actor: 2,
-                start: 5,
-                len: 1,
-            },
-        ),
-        ev(
-            5,
-            51,
-            "actor_write",
-            EventPayload::ActorWrite {
-                actor: 2,
-                start: 5,
-                len: 1,
-            },
-        ),
-        ev(0, 60, "actor_join", EventPayload::ActorJoin { actor: 2 }),
-        // After the join, a write on the joining thread to the same slot
-        // is ordered — must stay clean.
-        ev(
-            0,
-            70,
-            "actor_write",
-            EventPayload::ActorWrite {
-                actor: 2,
-                start: 5,
-                len: 1,
-            },
-        ),
     ]
 }
 
@@ -431,101 +273,6 @@ mod tests {
             ev(1, 5, chunk(0)),
             ev(1, 6, chunk(4)),
             ev(0, 9, EventPayload::Join { parts: 1 }),
-        ];
-        assert!(detect_races(&events).is_empty());
-    }
-
-    #[test]
-    fn injected_sampler_overlap_is_the_only_actor_race() {
-        let races = detect_races(&injected_sampler_race_events());
-        assert_eq!(races.len(), 1, "races: {races:?}");
-        let r = &races[0];
-        assert_eq!(r.loop_id, super::actor_key(2));
-        assert!(format!("{r}").starts_with("actor 2:"), "{r}");
-        assert_ne!(r.tid_a, r.tid_b);
-    }
-
-    #[test]
-    fn actor_fork_orders_spawner_writes_before_actor_writes() {
-        // The spawning thread writes the shared slot before forking the
-        // actor; the actor then writes the same slot — ordered by the
-        // fork edge, so no race.
-        let ev = |tid, ts_ns, payload| TimelineEvent {
-            tid,
-            ts_ns,
-            name: String::from("actor"),
-            payload,
-        };
-        let w = |actor, start| EventPayload::ActorWrite {
-            actor,
-            start,
-            len: 1,
-        };
-        let ordered = vec![
-            ev(0, 0, w(9, 0)),
-            ev(0, 1, EventPayload::ActorFork { actor: 9 }),
-            ev(7, 5, w(9, 0)),
-        ];
-        assert!(detect_races(&ordered).is_empty());
-        // Without the fork edge the same two writes race.
-        let unordered = vec![ev(0, 0, w(9, 0)), ev(7, 5, w(9, 0))];
-        assert_eq!(detect_races(&unordered).len(), 1);
-    }
-
-    #[test]
-    fn actor_join_orders_later_writes() {
-        let ev = |tid, ts_ns, payload| TimelineEvent {
-            tid,
-            ts_ns,
-            name: String::from("actor"),
-            payload,
-        };
-        let w = |start| EventPayload::ActorWrite {
-            actor: 3,
-            start,
-            len: 2,
-        };
-        let events = vec![
-            ev(0, 0, EventPayload::ActorFork { actor: 3 }),
-            ev(6, 5, w(0)),
-            ev(0, 9, EventPayload::ActorJoin { actor: 3 }),
-            // Overlapping write after the join, on a third thread? No —
-            // on the joiner itself, which absorbed the actor's clock.
-            ev(0, 10, w(1)),
-        ];
-        assert!(detect_races(&events).is_empty());
-    }
-
-    #[test]
-    fn actor_and_pool_keys_never_collide() {
-        // A pool chunk on loop 5 and an actor-5 write overlap in range
-        // but live in different key spaces — no cross-talk.
-        let ev = |tid, ts_ns, payload| TimelineEvent {
-            tid,
-            ts_ns,
-            name: String::from("mixed"),
-            payload,
-        };
-        let events = vec![
-            ev(
-                1,
-                0,
-                EventPayload::Chunk {
-                    loop_id: 5,
-                    start: 0,
-                    len: 8,
-                    dur_ns: 1,
-                },
-            ),
-            ev(
-                2,
-                1,
-                EventPayload::ActorWrite {
-                    actor: 5,
-                    start: 0,
-                    len: 8,
-                },
-            ),
         ];
         assert!(detect_races(&events).is_empty());
     }

@@ -14,19 +14,18 @@
 //!   consumes;
 //! * [`measure`] — measurement records and fixed-width table / CSV output
 //!   used by every figure regenerator;
-//! * [`obs`] — hardware-counter-style event counters and span timing
-//!   (zero-cost unless built with the `obs` feature), plus the shared
-//!   `ookami-bench-v1` JSON report schema every probe binary writes;
+//! * [`obs`] — hardware-counter-style event counters and the span
+//!   registry, the one aggregate record of every region close (count,
+//!   latency histogram, counter delta per span path; zero-cost unless
+//!   built with the `obs` feature), plus the shared `ookami-bench-v1`
+//!   JSON report schema every probe binary writes;
 //! * [`timeline`] — lock-free per-thread ring-buffer tracer with a Chrome
 //!   trace-event exporter (span begin/end, pool fork/join/chunk/barrier,
 //!   periodic counter samples), plus [`obs::derive`] — the roofline /
 //!   derived-metrics engine built on the counter snapshots;
-//! * [`telemetry`] — the live-observation layer on top of `obs` and
-//!   `timeline`: lock-free log-bucketed latency histograms, the span-tree
-//!   profiler with flamegraph (collapsed-stack) export
-//!   ([`telemetry::spantree`]), continuous sampling sessions, and the
-//!   dependency-free HTTP endpoint ([`telemetry::serve`]) behind
-//!   `ookamiserve`'s `/metrics`, `/profile` and `/trace`;
+//! * [`telemetry`] — the log-bucketed latency histogram the span registry
+//!   carries, and the span-tree profiler with flamegraph (collapsed-stack)
+//!   export ([`telemetry::spantree`]);
 //! * [`stats`] — mean/stddev/median helpers (the paper's error bars).
 
 // Every `unsafe` operation must sit in an explicit `unsafe { }` block with

@@ -23,14 +23,21 @@
 //!   `crates/sve/tests/trace_replay.rs`. The taxonomy here is therefore
 //!   execution-strategy-neutral (per-port pressure, active lanes, element
 //!   counts), never "ops dispatched".
+//! * **One record per region close.** [`Region`]'s drop folds the close
+//!   into its span path's [`SpanStat`] under one lock: the wall time into
+//!   a latency [`HistSnapshot`] (count, sum, buckets) and the global
+//!   counter delta into the path's inclusive counters. The timeline
+//!   ([`crate::timeline`]) keeps its own begin/end events for traces and
+//!   the span tree, but only inside a session and drop-oldest, so this
+//!   registry is the aggregate every report reads.
 //! * **One schema.** Every probe binary renders its results through
 //!   [`BenchReport`] into the shared `ookami-bench-v1` JSON shape, which
 //!   [`validate_bench_json`] checks with a dependency-free parser (the
-//!   vendored serde is a no-op shim). [`prometheus`] renders the same
-//!   registry as Prometheus text exposition for eyeballing.
+//!   vendored serde is a no-op shim).
 
 pub mod derive;
 
+use crate::telemetry::HistSnapshot;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -103,8 +110,8 @@ pub enum Counter {
     ItersGuided,
     /// Timeline ring events overwritten by drop-oldest in the current
     /// recording session. Not a thread-block counter: [`snapshot`] injects
-    /// it from [`crate::timeline::stats`] so Prometheus exposition and
-    /// BENCH reports carry truncation first-class. [`thread_snapshot`]
+    /// it from [`crate::timeline::stats`] so BENCH reports carry
+    /// truncation first-class. [`thread_snapshot`]
     /// leaves it 0 (it is a session-global quantity, and the executor
     /// counter-identity gates compare thread snapshots).
     TimelineDroppedEvents,
@@ -144,7 +151,7 @@ pub const COUNTERS: [Counter; Counter::COUNT] = [
 impl Counter {
     pub const COUNT: usize = 27;
 
-    /// Stable snake_case export name (JSON keys, Prometheus labels).
+    /// Stable snake_case export name (JSON keys).
     pub fn name(self) -> &'static str {
         match self {
             Counter::PortFla => "port_fla",
@@ -256,10 +263,10 @@ impl Snapshot {
 pub struct SpanStat {
     /// Slash-joined nesting path, e.g. `"ookamistat/npb_cg/cg_iter"`.
     pub path: String,
-    /// Number of times the span closed.
-    pub count: u64,
-    /// Total wall time across all closings, in nanoseconds.
-    pub total_ns: u64,
+    /// Wall time of every closing, in nanoseconds: `count()` is the number
+    /// of closings, `sum()` the total time, and the buckets give the
+    /// latency quantiles.
+    pub latency: HistSnapshot,
     /// Global counter delta summed over all closings. *Inclusive*: a parent
     /// span's delta contains its children's, and concurrent activity on
     /// other threads (pool workers executing this span's region, but also
@@ -274,7 +281,7 @@ pub struct SpanStat {
 
 #[cfg(feature = "obs")]
 mod imp {
-    use super::{Counter, Snapshot, SpanStat};
+    use super::{Counter, HistSnapshot, Snapshot, SpanStat};
     use parking_lot::Mutex;
     use std::cell::RefCell;
     use std::collections::BTreeMap;
@@ -298,9 +305,8 @@ mod imp {
     /// late [`super::snapshot`] still sees a finished worker's events.
     static REGISTRY: Mutex<Vec<Arc<ThreadCounters>>> = Mutex::new(Vec::new());
 
-    /// Per-path aggregates: (close count, total ns, counter delta sum).
-    type SpanEntry = (u64, u64, super::Snapshot);
-    static SPANS: Mutex<BTreeMap<String, SpanEntry>> = Mutex::new(BTreeMap::new());
+    /// Per-path aggregates: (latency histogram, counter delta sum).
+    static SPANS: Mutex<BTreeMap<String, (HistSnapshot, Snapshot)>> = Mutex::new(BTreeMap::new());
 
     thread_local! {
         static LOCAL: Arc<ThreadCounters> = {
@@ -366,7 +372,6 @@ mod imp {
             }
         }
         SPANS.lock().clear();
-        crate::telemetry::reset();
     }
 
     /// RAII span guard; see [`super::region`].
@@ -406,16 +411,13 @@ mod imp {
             let delta = super::snapshot().since(&self.open_snap);
             SPAN_PATH.with(|p| {
                 let mut p = p.borrow_mut();
-                crate::telemetry::record(crate::telemetry::HistKind::RegionLatencyNs, &p, ns);
-                let entry_path = p.clone();
                 {
                     let mut spans = SPANS.lock();
-                    let e = spans
-                        .entry(entry_path)
-                        .or_insert((0, 0, super::Snapshot::zero()));
-                    e.0 += 1;
-                    e.1 = e.1.saturating_add(ns);
-                    e.2.accumulate(&delta);
+                    let (latency, counters) = spans
+                        .entry(p.clone())
+                        .or_insert_with(|| (HistSnapshot::new(), Snapshot::zero()));
+                    latency.observe(ns);
+                    counters.accumulate(&delta);
                 }
                 let name = &p[if self.parent_len == 0 {
                     0
@@ -432,10 +434,9 @@ mod imp {
         SPANS
             .lock()
             .iter()
-            .map(|(path, (count, total_ns, counters))| SpanStat {
+            .map(|(path, (latency, counters))| SpanStat {
                 path: path.clone(),
-                count: *count,
-                total_ns: *total_ns,
+                latency: latency.clone(),
                 counters: counters.clone(),
             })
             .collect()
@@ -520,8 +521,7 @@ pub fn thread_snapshot() -> Snapshot {
     imp::thread_snapshot()
 }
 
-/// Zero every thread's counters, clear the span registry, and zero the
-/// telemetry histograms.
+/// Zero every thread's counters and clear the span registry.
 pub fn reset() {
     imp::reset();
 }
@@ -542,38 +542,6 @@ pub fn region(name: &str) -> Region {
 /// All span aggregates, sorted by path.
 pub fn spans() -> Vec<SpanStat> {
     imp::spans()
-}
-
-/// Render the registry (global counter snapshot + spans) as Prometheus
-/// text exposition.
-pub fn prometheus() -> String {
-    let snap = snapshot();
-    let mut out = String::new();
-    out.push_str("# TYPE ookami_events_total counter\n");
-    for &c in &COUNTERS {
-        let _ = writeln!(
-            out,
-            "ookami_events_total{{counter=\"{}\"}} {}",
-            c.name(),
-            snap.get(c)
-        );
-    }
-    out.push_str("# TYPE ookami_span_seconds_total counter\n");
-    out.push_str("# TYPE ookami_span_count_total counter\n");
-    for s in spans() {
-        let _ = writeln!(
-            out,
-            "ookami_span_seconds_total{{path=\"{}\"}} {:.9}",
-            s.path,
-            s.total_ns as f64 / 1e9
-        );
-        let _ = writeln!(
-            out,
-            "ookami_span_count_total{{path=\"{}\"}} {}",
-            s.path, s.count
-        );
-    }
-    out
 }
 
 // ---------------------------------------------------------------------
@@ -677,8 +645,8 @@ impl BenchReport {
                 o,
                 "{sep}\n    {{ \"path\": {}, \"count\": {}, \"total_ns\": {}",
                 json_str(&s.path),
-                s.count,
-                s.total_ns
+                s.latency.count(),
+                s.latency.sum()
             );
             if !s.counters.is_zero() {
                 o.push_str(", \"counters\": { ");
@@ -757,12 +725,18 @@ pub enum Json {
     Obj(BTreeMap<String, Json>),
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so the bound keeps a malformed file from
+/// overflowing the stack; the documents this repo writes nest about 5 deep.
+const JSON_MAX_DEPTH: usize = 128;
+
 impl Json {
-    /// Parse a complete JSON document (trailing garbage is an error).
+    /// Parse a complete JSON document (trailing garbage, and arrays or
+    /// objects nested more than 128 deep, are errors).
     pub fn parse(s: &str) -> Result<Json, String> {
         let b = s.as_bytes();
         let mut i = 0usize;
-        let v = parse_value(b, &mut i)?;
+        let v = parse_value(b, &mut i, 0)?;
         skip_ws(b, &mut i);
         if i != b.len() {
             return Err(format!("trailing bytes at offset {i}"));
@@ -793,8 +767,14 @@ fn expect(b: &[u8], i: &mut usize, lit: &str) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], i: &mut usize) -> Result<Json, String> {
+fn parse_value(b: &[u8], i: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(b, i);
+    if matches!(b.get(*i), Some(b'[' | b'{')) && depth == JSON_MAX_DEPTH {
+        return Err(format!(
+            "nesting deeper than {JSON_MAX_DEPTH} at offset {i}",
+            i = *i
+        ));
+    }
     match b.get(*i) {
         None => Err("unexpected end of input".to_string()),
         Some(b'n') => expect(b, i, "null").map(|()| Json::Null),
@@ -810,7 +790,7 @@ fn parse_value(b: &[u8], i: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(b, i)?);
+                items.push(parse_value(b, i, depth + 1)?);
                 skip_ws(b, i);
                 match b.get(*i) {
                     Some(b',') => *i += 1,
@@ -835,7 +815,7 @@ fn parse_value(b: &[u8], i: &mut usize) -> Result<Json, String> {
                 let key = parse_string(b, i)?;
                 skip_ws(b, i);
                 expect(b, i, ":")?;
-                let val = parse_value(b, i)?;
+                let val = parse_value(b, i, depth + 1)?;
                 m.insert(key, val);
                 skip_ws(b, i);
                 match b.get(*i) {
@@ -1114,6 +1094,16 @@ mod tests {
         );
     }
 
+    #[test]
+    fn json_parser_bounds_nesting_depth() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        Json::parse(&nested(JSON_MAX_DEPTH)).expect("nesting at the limit parses");
+        assert!(Json::parse(&nested(JSON_MAX_DEPTH + 1)).is_err());
+        // Far past any stack: an error, not an abort.
+        let err = Json::parse(&"[".repeat(100_000)).expect_err("deep nesting is rejected");
+        assert!(err.contains("nesting"), "{err}");
+    }
+
     #[cfg(feature = "obs")]
     #[test]
     fn add_snapshot_roundtrip_on_this_thread() {
@@ -1139,8 +1129,8 @@ mod tests {
         }
         let spans = spans();
         let find = |p: &str| spans.iter().find(|s| s.path == p);
-        assert!(find("obs_test_outer").is_some_and(|s| s.count >= 2));
-        assert!(find("obs_test_outer/inner").is_some_and(|s| s.count >= 1));
+        assert!(find("obs_test_outer").is_some_and(|s| s.latency.count() >= 2));
+        assert!(find("obs_test_outer/inner").is_some_and(|s| s.latency.count() >= 1));
     }
 
     #[cfg(not(feature = "obs"))]

@@ -282,9 +282,9 @@ pub fn derive(snap: &Snapshot, wall_seconds: f64, m: &Machine, threads: usize) -
     }
 }
 
-/// Derive metrics for one recorded span (wall time = its `total_ns`).
+/// Derive metrics for one recorded span (wall time = its total latency).
 pub fn derive_span(span: &SpanStat, m: &Machine, threads: usize) -> Derived {
-    derive(&span.counters, span.total_ns as f64 / 1e9, m, threads)
+    derive(&span.counters, span.latency.sum() as f64 / 1e9, m, threads)
 }
 
 /// Parse a validated `ookami-bench-v1` document and derive one row per

@@ -108,7 +108,6 @@ impl SenseBarrier {
             let ns = t.elapsed().as_nanos().min(u64::MAX as u128) as u64;
             obs::add(Counter::BarrierWaitNs, ns);
             crate::timeline::barrier_wait(ns);
-            crate::telemetry::record(crate::telemetry::HistKind::BarrierWaitNs, "pool", ns);
         }
     }
 }
@@ -549,11 +548,6 @@ fn slots_take<A>(seeds: &[Mutex<Option<A>>], slot: usize) -> A {
     seeds[slot].lock().take().expect("reduce seed taken twice")
 }
 
-/// Count one executed chunk `[s, e)` against the schedule's chunk/iter
-/// counters (the iter counters therefore sum to exactly `n` for every
-/// completed loop — an invariant the schedule property tests assert) and
-/// return a timeline guard: hold it across the chunk body so the trace
-/// records the chunk's duration as a complete event.
 /// Loop ids for timeline chunk events: one fresh id per `par_for_with` /
 /// `par_reduce_with` call, process-global, so the race detector can group
 /// the chunks of one parallel loop even when several loops interleave on
@@ -564,61 +558,34 @@ fn fresh_loop_id() -> u64 {
     NEXT_LOOP_ID.fetch_add(1, Ordering::Relaxed)
 }
 
-/// Guard measuring one scheduled chunk: carries the timeline chunk guard
-/// and, when obs is compiled in, feeds the chunk's wall time into the
-/// per-schedule `chunk_duration_ns` telemetry histogram on drop. Without
-/// the `obs` feature `start` is constant `None` (`obs::enabled()` is
-/// `const false`), so both the timing and the drop body fold away.
-#[must_use = "hold the guard across the chunk body so its duration is traced"]
-struct ChunkTimer {
-    start: Option<std::time::Instant>,
-    sched: &'static str,
-    _timeline: crate::timeline::ChunkGuard,
-}
-
-impl Drop for ChunkTimer {
-    fn drop(&mut self) {
-        if let Some(t0) = self.start {
-            let ns = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-            crate::telemetry::record(crate::telemetry::HistKind::ChunkDurationNs, self.sched, ns);
-        }
-    }
-}
-
+/// Count one executed chunk `[s, e)` against the schedule's chunk/iter
+/// counters (the iter counters therefore sum to exactly `n` for every
+/// completed loop — an invariant the schedule property tests assert) and
+/// return a timeline guard: hold it across the chunk body so the trace
+/// records the chunk's duration as a complete event.
 #[inline]
-fn count_chunk(sched: Schedule, loop_id: u64, s: usize, e: usize) -> ChunkTimer {
-    let (chunks, iters, name, sched_name) = match sched {
+#[must_use = "hold the guard across the chunk body so its duration is traced"]
+fn count_chunk(sched: Schedule, loop_id: u64, s: usize, e: usize) -> crate::timeline::ChunkGuard {
+    let (chunks, iters, name) = match sched {
         Schedule::Static => (
             Counter::ChunksStatic,
             Counter::ItersStatic,
             crate::timeline::NAME_STATIC,
-            "static",
         ),
         Schedule::Dynamic { .. } => (
             Counter::ChunksDynamic,
             Counter::ItersDynamic,
             crate::timeline::NAME_DYNAMIC,
-            "dynamic",
         ),
         Schedule::Guided => (
             Counter::ChunksGuided,
             Counter::ItersGuided,
             crate::timeline::NAME_GUIDED,
-            "guided",
         ),
     };
     obs::add(chunks, 1);
     obs::add(iters, (e - s) as u64);
-    ChunkTimer {
-        // `enabled()` is const, so the timing folds away without `obs`.
-        start: if obs::enabled() {
-            Some(std::time::Instant::now())
-        } else {
-            None
-        },
-        sched: sched_name,
-        _timeline: crate::timeline::chunk(name, loop_id, s, e - s),
-    }
+    crate::timeline::chunk(name, loop_id, s, e - s)
 }
 
 fn resolve_threads(threads: usize, n: usize) -> usize {

@@ -1,7 +1,7 @@
 //! Span-tree profiler: fold the timeline ring's `obs::region` span events
 //! into an aggregated call tree with inclusive/self time and per-node
-//! counter deltas, exported as a rendered table, collapsed-stack text
-//! (inferno / speedscope `flamegraph.pl` format), and JSON.
+//! counter deltas, exported as a rendered table and as collapsed-stack
+//! text (inferno / speedscope `flamegraph.pl` format).
 //!
 //! Folding rules (proptest-pinned in `telemetry_props.rs`):
 //!
@@ -165,48 +165,6 @@ impl SpanTree {
         }
         out
     }
-
-    /// `ookami-profile-v1` JSON export (the `/profile?format=json` body).
-    /// Parses with [`crate::obs::Json`].
-    pub fn to_json(&self) -> String {
-        fn node_json(out: &mut String, node: &SpanNode) {
-            let _ = write!(
-                out,
-                "{{\"name\":{},\"count\":{},\"incl_ns\":{},\"self_ns\":{},\"counters\":{{",
-                obs::json_str(&node.name),
-                node.count,
-                node.incl_ns,
-                node.self_ns
-            );
-            for (i, (name, v)) in node.counters.nonzero().iter().enumerate() {
-                let sep = if i == 0 { "" } else { "," };
-                let _ = write!(out, "{sep}\"{name}\":{v}");
-            }
-            out.push_str("},\"children\":[");
-            for (i, child) in node.children.values().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                node_json(out, child);
-            }
-            out.push_str("]}");
-        }
-        let mut out = String::from("{\"schema\":\"ookami-profile-v1\",");
-        let _ = write!(
-            out,
-            "\"total_incl_ns\":{},\"total_count\":{},\"roots\":[",
-            self.total_incl_ns(),
-            self.total_count()
-        );
-        for (i, root) in self.roots.values().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            node_json(&mut out, root);
-        }
-        out.push_str("]}\n");
-        out
-    }
 }
 
 fn close_top(tree: &mut SpanTree, stack: &mut Vec<Frame>, end_ns: u64) {
@@ -273,15 +231,16 @@ pub fn fold(events: &[TimelineEvent], span_stats: &[SpanStat]) -> SpanTree {
     tree
 }
 
-/// Fold the *current* timeline session and span registry: what `/profile`
-/// serves. Empty without the `obs` feature or when nothing was recorded.
+/// Fold the *current* timeline session and span registry. Empty without
+/// the `obs` feature or when nothing was recorded.
 pub fn profile() -> SpanTree {
     fold(&crate::timeline::export_events(), &obs::spans())
 }
 
 /// Parse collapsed-stack text back into `stack path → summed value`
-/// (duplicate stacks add, per the format's semantics). The round-trip
-/// partner of [`SpanTree::collapsed`] in the golden test.
+/// (duplicate stacks add, per the format's semantics; a sum past
+/// `u64::MAX` is an error). The round-trip partner of
+/// [`SpanTree::collapsed`] in the golden test.
 pub fn parse_collapsed(text: &str) -> Result<BTreeMap<String, u64>, String> {
     let mut out = BTreeMap::new();
     for (idx, line) in text.lines().enumerate() {
@@ -298,7 +257,10 @@ pub fn parse_collapsed(text: &str) -> Result<BTreeMap<String, u64>, String> {
         let value: u64 = value
             .parse()
             .map_err(|_| format!("line {}: bad value `{value}`", idx + 1))?;
-        *out.entry(stack.to_string()).or_insert(0) += value;
+        let sum = out.entry(stack.to_string()).or_insert(0u64);
+        *sum = sum
+            .checked_add(value)
+            .ok_or_else(|| format!("line {}: sum for `{stack}` overflows u64", idx + 1))?;
     }
     Ok(out)
 }
@@ -369,10 +331,11 @@ mod tests {
         let events = vec![ev(1, 0, "k", SpanBegin), ev(1, 9, "k", SpanEnd)];
         let mut counters = Snapshot::zero();
         counters.set(obs::Counter::SveInstrs, 42);
+        let mut latency = crate::telemetry::HistSnapshot::new();
+        latency.observe(9);
         let stats = vec![SpanStat {
             path: "k".to_string(),
-            count: 1,
-            total_ns: 9,
+            latency,
             counters,
         }];
         let tree = fold(&events, &stats);
@@ -380,12 +343,6 @@ mod tests {
             tree.node("k")
                 .map(|n| n.counters.get(obs::Counter::SveInstrs)),
             Some(42)
-        );
-        let json = tree.to_json();
-        let v = obs::Json::parse(&json).expect("profile JSON parses");
-        assert_eq!(
-            v.get("schema"),
-            Some(&obs::Json::Str("ookami-profile-v1".to_string()))
         );
     }
 
@@ -400,5 +357,16 @@ mod tests {
         assert_eq!(text, "weird:name_with_space 7\n");
         let parsed = parse_collapsed(&text).expect("round-trips");
         assert_eq!(parsed.get("weird:name_with_space"), Some(&7));
+    }
+
+    #[test]
+    fn duplicate_stacks_sum_without_wrapping() {
+        assert_eq!(
+            parse_collapsed("a;b 2\na;b 3\n").expect("sums"),
+            BTreeMap::from([("a;b".to_string(), 5)])
+        );
+        let err = parse_collapsed("a;b 18446744073709551615\na;b 1\n")
+            .expect_err("an overflowing sum must be rejected, not wrapped");
+        assert!(err.contains("line 2"), "{err}");
     }
 }

@@ -4,11 +4,9 @@
 //! The PR-3 `obs` layer answers *how many* events a run retired; this
 //! module answers *when and where*: span begin/end pairs (from
 //! [`crate::obs::region`]), pool fork/join/chunk/barrier events (from
-//! [`crate::pool`]), periodic counter samples (from the SVE executors),
-//! and background-actor fork/write/join events (from the telemetry
-//! sampler and HTTP server threads) land in per-thread ring buffers and
-//! export as a `traceEvents` JSON document that `chrome://tracing` and
-//! Perfetto load directly.
+//! [`crate::pool`]) and periodic counter samples (from the SVE executors)
+//! land in per-thread ring buffers and export as a `traceEvents` JSON
+//! document that `chrome://tracing` and Perfetto load directly.
 //!
 //! Design rules, mirroring [`crate::obs`]:
 //!
@@ -49,31 +47,6 @@ mod kind {
     pub const CHUNK: u64 = 5;
     pub const BARRIER: u64 = 6;
     pub const COUNTER: u64 = 7;
-    pub const ACTOR_FORK: u64 = 8;
-    pub const ACTOR_JOIN: u64 = 9;
-    pub const ACTOR_WRITE: u64 = 10;
-}
-
-/// Escape a string as a JSON string literal (quotes included).
-#[cfg(feature = "obs")]
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// One recorded event, decoded for programmatic consumers (the
@@ -120,26 +93,6 @@ pub enum EventPayload {
     /// Periodic cumulative counter sample.
     Counter {
         value: u64,
-    },
-    /// A long-lived background actor (telemetry sampler thread, HTTP
-    /// connection thread, …) was spawned; recorded on the *spawning*
-    /// thread, so the actor's first write synchronizes with everything
-    /// before the spawn. `actor` ids come from [`next_actor_id`].
-    ActorFork {
-        actor: u64,
-    },
-    /// The actor was joined (recorded on the joining thread after the
-    /// thread join), ordering the actor's writes before what follows.
-    ActorJoin {
-        actor: u64,
-    },
-    /// The actor wrote shared state `[start, start+len)` in its own
-    /// address space (sampler ring slots, response buffers); recorded on
-    /// the thread that performed the write.
-    ActorWrite {
-        actor: u64,
-        start: u64,
-        len: u64,
     },
 }
 
@@ -285,19 +238,13 @@ mod imp {
     pub const NAME_FORK: u64 = 3;
     pub const NAME_JOIN: u64 = 4;
     pub const NAME_BARRIER: u64 = 5;
-    pub const NAME_ACTOR_FORK: u64 = 6;
-    pub const NAME_ACTOR_JOIN: u64 = 7;
-    pub const NAME_ACTOR_WRITE: u64 = 8;
-    const WELL_KNOWN: [&str; 9] = [
+    const WELL_KNOWN: [&str; 6] = [
         "chunk_static",
         "chunk_dynamic",
         "chunk_guided",
         "fork",
         "join",
         "barrier_wait",
-        "actor_fork",
-        "actor_join",
-        "actor_write",
     ];
 
     fn intern_table() -> &'static Mutex<Intern> {
@@ -487,34 +434,6 @@ mod imp {
         );
     }
 
-    pub fn actor_fork(actor: u64) {
-        if !recording() {
-            return;
-        }
-        push(kind::ACTOR_FORK, NAME_ACTOR_FORK, now_ns(), actor, 0, 0);
-    }
-
-    pub fn actor_join(actor: u64) {
-        if !recording() {
-            return;
-        }
-        push(kind::ACTOR_JOIN, NAME_ACTOR_JOIN, now_ns(), actor, 0, 0);
-    }
-
-    pub fn actor_write(actor: u64, start: u64, len: u64) {
-        if !recording() {
-            return;
-        }
-        push(
-            kind::ACTOR_WRITE,
-            NAME_ACTOR_WRITE,
-            now_ns(),
-            actor,
-            start,
-            len,
-        );
-    }
-
     pub fn counter_sample(c: Counter, value: u64) {
         if !recording() {
             return;
@@ -572,7 +491,7 @@ mod imp {
         let _ = write!(
             out,
             "\n  {{\"name\":{},\"cat\":\"{cat}\",\"ph\":\"{ph}\",\"ts\":{},\"pid\":1,\"tid\":{tid}{extra}}}",
-            super::json_escape(name),
+            crate::obs::json_str(name),
             us(ts_ns)
         );
     }
@@ -618,7 +537,7 @@ mod imp {
                 out,
                 "\n  {{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{},\"args\":{{\"name\":{}}}}}",
                 ring.tid,
-                super::json_escape(&ring.thread_name)
+                crate::obs::json_str(&ring.thread_name)
             );
             // Span fixup: drop-oldest may have evicted a begin whose end
             // survives (orphan end — discarded) and the stream may close
@@ -717,35 +636,6 @@ mod imp {
                             &extra,
                         );
                     }
-                    kind::ACTOR_FORK | kind::ACTOR_JOIN => {
-                        let extra = format!(",\"s\":\"t\",\"args\":{{\"actor\":{}}}", ev.a);
-                        emit(
-                            &mut out,
-                            &mut first,
-                            name_of(ev.name),
-                            "actor",
-                            "i",
-                            ev.ts_ns,
-                            ring.tid,
-                            &extra,
-                        );
-                    }
-                    kind::ACTOR_WRITE => {
-                        let extra = format!(
-                            ",\"s\":\"t\",\"args\":{{\"actor\":{},\"start\":{},\"len\":{}}}",
-                            ev.a, ev.b, ev.c
-                        );
-                        emit(
-                            &mut out,
-                            &mut first,
-                            name_of(ev.name),
-                            "actor",
-                            "i",
-                            ev.ts_ns,
-                            ring.tid,
-                            &extra,
-                        );
-                    }
                     _ => {}
                 }
             }
@@ -803,13 +693,6 @@ mod imp {
                     },
                     kind::BARRIER => P::BarrierWait { ns: ev.a },
                     kind::COUNTER => P::Counter { value: ev.a },
-                    kind::ACTOR_FORK => P::ActorFork { actor: ev.a },
-                    kind::ACTOR_JOIN => P::ActorJoin { actor: ev.a },
-                    kind::ACTOR_WRITE => P::ActorWrite {
-                        actor: ev.a,
-                        start: ev.b,
-                        len: ev.c,
-                    },
                     _ => continue,
                 };
                 out.push(super::TimelineEvent {
@@ -876,15 +759,6 @@ mod imp {
 
     #[inline(always)]
     pub fn counter_sample(_c: Counter, _value: u64) {}
-
-    #[inline(always)]
-    pub fn actor_fork(_actor: u64) {}
-
-    #[inline(always)]
-    pub fn actor_join(_actor: u64) {}
-
-    #[inline(always)]
-    pub fn actor_write(_actor: u64, _start: u64, _len: u64) {}
 
     pub fn stats() -> TimelineStats {
         TimelineStats::default()
@@ -967,36 +841,6 @@ pub fn barrier_wait(ns: u64) {
 #[inline(always)]
 pub fn counter_sample(c: Counter, value: u64) {
     imp::counter_sample(c, value);
-}
-
-/// Allocate a process-unique actor id for [`actor_fork`]. Never 0, so 0
-/// can mean "no actor". Works in both obs modes (ids are cheap and the
-/// telemetry threads exist either way).
-pub fn next_actor_id() -> u64 {
-    static NEXT_ACTOR: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
-    NEXT_ACTOR.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-}
-
-/// Record (on the spawning thread) that background actor `actor` was
-/// forked: the race detector orders the actor's writes after everything
-/// the spawner did before this point.
-#[inline(always)]
-pub fn actor_fork(actor: u64) {
-    imp::actor_fork(actor);
-}
-
-/// Record (on the joining thread, after the thread join) that `actor`
-/// finished: its writes happen-before everything after this point.
-#[inline(always)]
-pub fn actor_join(actor: u64) {
-    imp::actor_join(actor);
-}
-
-/// Record a shared-state write `[start, start+len)` by `actor` (sampler
-/// ring slot, connection response buffer), on the thread performing it.
-#[inline(always)]
-pub fn actor_write(actor: u64, start: u64, len: u64) {
-    imp::actor_write(actor, start, len);
 }
 
 /// Statistics over the current recording session's rings.
@@ -1130,44 +974,6 @@ mod tests {
             assert!(events.windows(2).all(|w| w[0].ts_ns <= w[1].ts_ns));
         } else {
             assert!(events.is_empty());
-        }
-    }
-
-    #[cfg(feature = "obs")]
-    #[test]
-    fn actor_events_roundtrip() {
-        let _g = TL_LOCK
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let actor = next_actor_id();
-        start(64);
-        actor_fork(actor);
-        actor_write(actor, 3, 1);
-        actor_join(actor);
-        stop();
-        let events = export_events();
-        assert!(events
-            .iter()
-            .any(|e| e.payload == EventPayload::ActorFork { actor } && e.name == "actor_fork"));
-        assert!(events.iter().any(|e| e.payload
-            == EventPayload::ActorWrite {
-                actor,
-                start: 3,
-                len: 1
-            }));
-        assert!(events
-            .iter()
-            .any(|e| e.payload == EventPayload::ActorJoin { actor }));
-        // The Chrome export carries them too, and still parses.
-        let doc = export_chrome_trace();
-        let v = Json::parse(&doc).expect("trace must parse");
-        if let Some(Json::Arr(evs)) = v.get("traceEvents") {
-            assert!(evs.iter().any(|e| matches!(
-                e.get("name"),
-                Some(Json::Str(n)) if n == "actor_write"
-            )));
-        } else {
-            panic!("traceEvents missing");
         }
     }
 

@@ -39,11 +39,7 @@ thread_local! {
 
 /// Every `SAMPLE_PERIOD` retired instructions, drop a sample of this
 /// thread's cumulative hot counters into the timeline (Chrome `C` counter
-/// tracks) and publish the realized sample interval into the
-/// `sample_interval_instrs` telemetry histogram (the intervals overshoot
-/// `SAMPLE_PERIOD` by up to one bulk call's worth — the histogram makes
-/// that skid observable on `/metrics`). A pure observation: counter
-/// totals are unaffected.
+/// tracks). A pure observation: counter totals are unaffected.
 #[inline]
 fn maybe_sample(instrs: u64) {
     #[cfg(feature = "obs")]
@@ -53,15 +49,11 @@ fn maybe_sample(instrs: u64) {
         }
         let due = SINCE_SAMPLE.with(|s| {
             let v = s.get() + instrs;
-            if v >= SAMPLE_PERIOD {
-                s.set(0);
-                Some(v)
-            } else {
-                s.set(v);
-                None
-            }
+            let due = v >= SAMPLE_PERIOD;
+            s.set(if due { 0 } else { v });
+            due
         });
-        if let Some(interval) = due {
+        if due {
             let snap = obs::thread_snapshot();
             for c in [
                 Counter::SveInstrs,
@@ -72,11 +64,6 @@ fn maybe_sample(instrs: u64) {
             ] {
                 timeline::counter_sample(c, snap.get(c));
             }
-            ookami_core::telemetry::record(
-                ookami_core::telemetry::HistKind::SampleInstrs,
-                "sve",
-                interval,
-            );
         }
     }
     #[cfg(not(feature = "obs"))]

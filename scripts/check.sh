@@ -68,13 +68,6 @@ cargo run -p ookami-bench --features obs --bin ookamiprof --release -- --smoke
 cargo run -p ookami-bench --bin report --release -- --validate BENCH_prof.json
 test -s target/PROFILE.collapsed
 
-echo "== live HTTP endpoint selfcheck (ookamiserve --selfcheck, both obs modes)"
-# Binds an ephemeral port, runs a bounded workload, and validates every
-# endpoint (/metrics /profile /trace /samples /bench/<name>) with the
-# in-repo Prometheus/Json/collapsed-stack parsers over real HTTP.
-cargo run -p ookami-bench --bin ookamiserve --release -- --selfcheck --smoke
-cargo run -p ookami-bench --features obs --bin ookamiserve --release -- --selfcheck --smoke
-
 echo "== bench-trajectory gate (benchdiff vs committed baselines)"
 cargo run -p ookami-bench --features obs --bin benchdiff --release -- \
   --baseline "$baseline_dir" --current . --out target/BENCHDIFF.json
@@ -134,12 +127,6 @@ cargo run -p ookami-bench --features obs --bin ookamicheck --release
 if cargo run -p ookami-bench --features obs --bin ookamicheck --release -- \
   --inject-race >/dev/null 2>&1; then
   echo "ookamicheck failed to flag the injected race" >&2
-  exit 1
-fi
-# Same for the telemetry-actor stream: two unordered sampler-slot writes.
-if cargo run -p ookami-bench --features obs --bin ookamicheck --release -- \
-  --inject-sampler-race >/dev/null 2>&1; then
-  echo "ookamicheck failed to flag the injected sampler race" >&2
   exit 1
 fi
 

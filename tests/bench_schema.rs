@@ -74,7 +74,7 @@ fn committed_bench_files_reparse_with_counters_intact() {
 #[test]
 fn prof_baseline_carries_quantiles_and_the_overhead_ratio() {
     // The profiler probe's committed claims: per-executor p50/p99 region
-    // latencies (the live-telemetry histogram layer works end to end) and
+    // latencies (the span registry's histograms work end to end) and
     // the profiling-overhead ratio that `benchdiff` ceiling-gates. The
     // identity flags must all read true — they assert that histogram
     // counts, span-tree counts, and the deterministic counters agree
