@@ -1,5 +1,5 @@
 //! Print the math-library accuracy study (the paper's deferred topic) and
-//! write it as `BENCH_accuracy.json` in the shared `ookami-bench-v1`
+//! write it as `target/bench/BENCH_accuracy.json` in the shared `ookami-bench-v1`
 //! schema (max/mean ulp per implementation, plus the obs counters the
 //! emulated sweeps produced when built with `--features obs`).
 
@@ -20,8 +20,7 @@ fn main() {
     report
         .metric("implementations", rows.len() as f64)
         .attach_obs(&obs::snapshot().since(&obs_before));
-    report
-        .write("BENCH_accuracy.json")
-        .expect("write BENCH_accuracy.json");
-    println!("wrote BENCH_accuracy.json");
+    let path = ookami_bench::bench_out("BENCH_accuracy.json");
+    ookami_bench::write_report(&report, &path);
+    println!("wrote {path}");
 }

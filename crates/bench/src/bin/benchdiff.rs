@@ -3,7 +3,7 @@
 //! nonzero when a gated result regressed.
 //!
 //! ```text
-//! benchdiff --baseline <dir> --current <dir> [--tol 0.5] [--out BENCHDIFF.json]
+//! benchdiff --baseline <dir> --current <dir> [--tol 0.5] [--out target/bench/BENCHDIFF.json]
 //! ```
 //!
 //! Both sides are schema-validated (`ookami-bench-v1`) before any
@@ -144,7 +144,7 @@ fn usage(code: i32) -> ! {
            --tol <x>            systematic-slowdown tolerance for time metrics\n\
                                 when modes match (relative, default 0.5)\n\
            --out <path>         write the machine-readable verdict JSON here\n\
-                                (default BENCHDIFF.json)\n\
+                                (default target/bench/BENCHDIFF.json)\n\
            --inject-regression  degrade the current set in memory (times x10,\n\
                                 rates /10, overhead x10, counters x2, flags\n\
                                 flipped) — self-test that the gate trips\n\
@@ -494,7 +494,7 @@ fn main() {
     let mut baseline_dir: Option<String> = None;
     let mut current_dir: Option<String> = None;
     let mut tol = 0.5f64;
-    let mut out_path = "BENCHDIFF.json".to_string();
+    let mut out_path = ookami_bench::bench_out("BENCHDIFF.json");
     let mut inject = false;
     let mut explain = false;
     let mut it = args.iter();
@@ -640,10 +640,7 @@ fn main() {
             },
         );
     }
-    if let Err(e) = report.write(&out_path) {
-        eprintln!("error: write {out_path}: {e}");
-        std::process::exit(2);
-    }
+    ookami_bench::write_report(&report, &out_path);
     println!("wrote {out_path}");
 
     std::process::exit(i32::from(!pass));

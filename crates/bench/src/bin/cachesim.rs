@@ -14,7 +14,7 @@
 //!    ≥ 4 cores): pool-parallel replay at 4 threads must be at least 2×
 //!    the serial simulator on the same trace.
 //!
-//! Writes `BENCH_mem.json` (schema `ookami-bench-v1`) with the headline
+//! Writes `target/bench/BENCH_mem.json` (schema `ookami-bench-v1`) with the headline
 //! A64FX numbers plus `host_cores`, so `benchdiff` can apply the same
 //! capability-gated floor to committed baselines. Run with:
 //!
@@ -155,10 +155,9 @@ fn main() {
         .flag("machine", "a64fx")
         .flag("gate", gate)
         .attach_obs(&obs::snapshot().since(&obs_before));
-    report
-        .write("BENCH_mem.json")
-        .expect("write BENCH_mem.json");
-    println!("wrote BENCH_mem.json");
+    let path = ookami_bench::bench_out("BENCH_mem.json");
+    ookami_bench::write_report(&report, &path);
+    println!("wrote {path}");
 
     if !gate {
         std::process::exit(1);

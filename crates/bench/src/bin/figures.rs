@@ -1,6 +1,6 @@
 //! Regenerate the paper's figures: `figures <id>|all [--csv]`.
 //!
-//! Also writes `BENCH_figures.json` (shared `ookami-bench-v1` schema):
+//! Also writes `target/bench/BENCH_figures.json` (shared `ookami-bench-v1` schema):
 //! the row count per regenerated figure, with the obs counters/spans the
 //! regeneration produced when built with `--features obs`.
 
@@ -32,8 +32,7 @@ fn main() {
     report
         .flag("csv", csv)
         .attach_obs(&obs::snapshot().since(&obs_before));
-    report
-        .write("BENCH_figures.json")
-        .expect("write BENCH_figures.json");
-    eprintln!("wrote BENCH_figures.json");
+    let path = ookami_bench::bench_out("BENCH_figures.json");
+    ookami_bench::write_report(&report, &path);
+    eprintln!("wrote {path}");
 }

@@ -67,10 +67,9 @@ fn main() {
         .metric("ratio_at_8", ratio_at_8)
         .flag("gate", ratio_at_8 >= 5.0)
         .attach_obs(&obs::snapshot().since(&obs_before));
-    report
-        .write("BENCH_forkjoin.json")
-        .expect("write BENCH_forkjoin.json");
-    println!("wrote BENCH_forkjoin.json");
+    let path = ookami_bench::bench_out("BENCH_forkjoin.json");
+    ookami_bench::write_report(&report, &path);
+    println!("wrote {path}");
     if ratio_at_8 >= 5.0 {
         println!("OK: pool fork/join is {ratio_at_8:.1}x cheaper than spawn at 8 threads (>= 5x)");
     } else {

@@ -16,7 +16,7 @@
 //!   obs build), so the observability layer can never silently become the
 //!   workload.
 //!
-//! Writes `BENCH_prof.json` (p50/p99 region latencies per executor) and
+//! Writes `target/bench/BENCH_prof.json` (p50/p99 region latencies per executor) and
 //! the collapsed-stack flamegraph export to `target/PROFILE.collapsed`
 //! (inferno / speedscope load it directly). Run with:
 //!
@@ -54,7 +54,7 @@ fn usage() -> ! {
         "ookamiprof: span-tree profiler probe with span-record identity gates\n\
          usage: ookamiprof [--smoke] [--out <path>] [--collapsed <path>]\n\
            --smoke            CI-sized run (no perf floors apply in smoke mode)\n\
-           --out <path>       report path (default BENCH_prof.json)\n\
+           --out <path>       report path (default target/bench/BENCH_prof.json)\n\
            --collapsed <path> flamegraph export (default target/PROFILE.collapsed)"
     );
     std::process::exit(2);
@@ -74,7 +74,7 @@ fn delta_13(f: impl FnOnce()) -> [u64; 13] {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut smoke = false;
-    let mut out_path = "BENCH_prof.json".to_string();
+    let mut out_path = ookami_bench::bench_out("BENCH_prof.json");
     let mut collapsed_path = "target/PROFILE.collapsed".to_string();
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -253,7 +253,7 @@ fn main() {
     }
 
     report.attach_obs(&obs::snapshot());
-    report.write(&out_path).expect("write report");
+    ookami_bench::write_report(&report, &out_path);
     println!("wrote {out_path}");
     if failures > 0 {
         eprintln!("ookamiprof: {failures} identity gate(s) failed");

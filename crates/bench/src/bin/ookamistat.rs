@@ -6,7 +6,7 @@
 //! cargo run -p ookami-bench --features obs --bin ookamistat --release [--smoke]
 //! ```
 //!
-//! Writes `BENCH_obs.json` (shared `ookami-bench-v1` schema, self-validated
+//! Writes `target/bench/BENCH_obs.json` (shared `ookami-bench-v1` schema, self-validated
 //! before the write) and prints the non-zero counters. Without
 //! `--features obs` the slice still runs — the counter columns are just
 //! zero and the report says `obs_enabled: false`, which is itself worth a
@@ -43,7 +43,7 @@ fn usage() -> ! {
                            requires --features obs for a non-empty trace\n\
            --help          this text\n\
          \n\
-         outputs: BENCH_obs.json (ookami-bench-v1 schema) and, with --trace,\n\
+         outputs: target/bench/BENCH_obs.json (ookami-bench-v1 schema) and, with --trace,\n\
          the Chrome trace; exit is nonzero on any counter sanity failure."
     );
     std::process::exit(0)
@@ -220,11 +220,10 @@ fn main() {
         );
         println!();
     }
-    report
-        .write("BENCH_obs.json")
-        .expect("write BENCH_obs.json");
+    let path = ookami_bench::bench_out("BENCH_obs.json");
+    ookami_bench::write_report(&report, &path);
     // Belt and braces: re-read and validate what actually landed on disk.
-    let disk = std::fs::read_to_string("BENCH_obs.json").expect("read back BENCH_obs.json");
+    let disk = std::fs::read_to_string(&path).expect("read back BENCH_obs.json");
     obs::validate_bench_json(&disk).expect("BENCH_obs.json fails schema validation");
-    println!("wrote BENCH_obs.json (schema ookami-bench-v1, validated)");
+    println!("wrote {path} (schema ookami-bench-v1, validated)");
 }

@@ -16,7 +16,7 @@
 //! 3. **Replay-over-interpreter floors** (full mode only): replaying the
 //!    recorded trace must beat re-interpreting the kernel per block.
 //!
-//! Writes `BENCH_spmv.json` (schema `ookami-bench-v1`). Run with:
+//! Writes `target/bench/BENCH_spmv.json` (schema `ookami-bench-v1`). Run with:
 //!
 //! ```text
 //! cargo run -p ookami-bench --release --bin spmv [--smoke]
@@ -222,10 +222,9 @@ fn main() {
         .flag("bit_identical", bit_identical)
         .flag("gate", gate)
         .attach_obs(&obs::snapshot().since(&obs_before));
-    report
-        .write("BENCH_spmv.json")
-        .expect("write BENCH_spmv.json");
-    println!("wrote BENCH_spmv.json");
+    let path = ookami_bench::bench_out("BENCH_spmv.json");
+    ookami_bench::write_report(&report, &path);
+    println!("wrote {path}");
 
     if !gate {
         std::process::exit(1);

@@ -6,7 +6,7 @@
 //! **bit-identical**, the obs counters **exactly equal**, and that the
 //! trace lowers to the **same instruction stream** the interpreter records
 //! (modulo register naming), then measures elements/second and writes
-//! `BENCH_sve.json` plus a per-variant pass-pipeline summary to
+//! `target/bench/BENCH_sve.json` plus a per-variant pass-pipeline summary to
 //! `target/COMPILE_REPORT.json`. Run with:
 //!
 //! ```text
@@ -337,10 +337,9 @@ fn main() {
     for &(th, s) in compiled_sweep.iter().filter(|&&(th, _)| th != 4) {
         report.metric(&format!("compiled_par{th}_elems_per_sec"), n as f64 / s);
     }
-    report
-        .write("BENCH_sve.json")
-        .expect("write BENCH_sve.json");
-    println!("wrote BENCH_sve.json");
+    let path = ookami_bench::bench_out("BENCH_sve.json");
+    ookami_bench::write_report(&report, &path);
+    println!("wrote {path}");
 
     // Per-variant pass-pipeline summary (uploaded as a CI artifact).
     let entries: Vec<String> = compile_reports

@@ -25,7 +25,10 @@ pub mod accuracy;
 pub mod ecm;
 pub mod family;
 
+use std::path::Path;
+
 use ookami_core::measure::{to_csv, Measurement};
+use ookami_core::obs::BenchReport;
 
 /// Render a figure by name; returns `(pretty_text, rows)`.
 pub fn figure(name: &str) -> Option<(String, Vec<Measurement>)> {
@@ -161,6 +164,24 @@ pub fn run_tables(which: &str) -> String {
         out.push('\n');
     }
     out
+}
+
+/// Where a probe run writes its `BENCH_*.json` report: `target/bench/<file>`,
+/// relative to the current directory like `target/COMPILE_REPORT.json`, so
+/// a run from the repo root never touches the committed baselines there.
+/// Promoting a run to the baseline is a copy: `cp target/bench/BENCH_x.json .`.
+pub fn bench_out(file: &str) -> String {
+    format!("target/bench/{file}")
+}
+
+/// Write `report` to `path`, creating its directory; on failure print a
+/// diagnostic and exit 2.
+pub fn write_report(report: &BenchReport, path: &str) {
+    let dir = Path::new(path).parent().unwrap_or(Path::new(""));
+    if let Err(e) = std::fs::create_dir_all(dir).and_then(|()| report.write(path)) {
+        eprintln!("error: write {path}: {e}");
+        std::process::exit(2);
+    }
 }
 
 #[cfg(test)]

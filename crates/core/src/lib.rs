@@ -38,7 +38,6 @@ pub mod obs;
 pub mod pool;
 pub mod profile;
 pub mod runtime;
-pub mod scratch;
 pub mod stats;
 pub mod telemetry;
 pub mod timeline;

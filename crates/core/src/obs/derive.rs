@@ -26,7 +26,7 @@
 //! the top scorer wins, `Balanced` if nothing clears 0.25. Deterministic by
 //! construction — ties break in declaration order.
 
-use super::{Counter, Json, Snapshot, SpanStat};
+use super::{Counter, Json, Snapshot};
 use ookami_uarch::Machine;
 
 /// Number of issue ports in the A64FX-style port model (FLA..BR).
@@ -280,11 +280,6 @@ pub fn derive(snap: &Snapshot, wall_seconds: f64, m: &Machine, threads: usize) -
         bottleneck_score,
         wall_seconds: secs,
     }
-}
-
-/// Derive metrics for one recorded span (wall time = its total latency).
-pub fn derive_span(span: &SpanStat, m: &Machine, threads: usize) -> Derived {
-    derive(&span.counters, span.latency.sum() as f64 / 1e9, m, threads)
 }
 
 /// Parse a validated `ookami-bench-v1` document and derive one row per

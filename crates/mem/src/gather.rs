@@ -29,20 +29,6 @@ pub struct IndexPattern {
     pub lanes: usize,
 }
 
-impl IndexPattern {
-    /// Port-occupancy cycles for a gather with this pattern.
-    pub fn gather_cycles(&self, g: &GatherSpec) -> f64 {
-        g.gather_cycles_per_group * self.groups as f64
-            + g.gather_line_cycles * self.distinct_lines as f64
-    }
-
-    /// Port-occupancy cycles for a scatter with this pattern (never paired).
-    pub fn scatter_cycles(&self, g: &GatherSpec) -> f64 {
-        g.scatter_cycles_per_elem * self.lanes as f64
-            + g.scatter_line_cycles * self.distinct_lines as f64
-    }
-}
-
 /// Analyze one vector's worth of indices.
 ///
 /// * `indices` — the element indices accessed by consecutive lanes

@@ -54,21 +54,6 @@ impl StreamKernel {
             StreamKernel::Add | StreamKernel::Triad => 2,
         }
     }
-
-    /// Bytes moved per element counting the output store, the STREAM
-    /// bandwidth convention (copy/scale 16 B, add/triad 24 B).
-    pub fn bytes_per_elem(self) -> usize {
-        8 * (self.inputs() + 1)
-    }
-
-    /// FLOPs per element under the model's convention (FMA = 2).
-    pub fn flops_per_elem(self) -> usize {
-        match self {
-            StreamKernel::Copy => 0,
-            StreamKernel::Scale | StreamKernel::Add => 1,
-            StreamKernel::Triad => 2,
-        }
-    }
 }
 
 /// Record one STREAM kernel at vector length `vl`.

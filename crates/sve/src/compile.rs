@@ -48,7 +48,6 @@ use crate::trace::{
 use ookami_core::obs::{self, Counter, Snapshot};
 use ookami_core::pool::Schedule;
 use ookami_core::runtime::{par_for_with, SendPtr};
-use ookami_core::scratch;
 use ookami_uarch::meta::{self, LaneAccounting, PredDom};
 use ookami_uarch::OpClass;
 
@@ -713,10 +712,6 @@ pub(crate) struct Plan {
     /// cost more in thread-local atomics than the kernels themselves).
     acct_static: Snapshot,
     tab: [u64; 64],
-    /// Process-unique identity for worker-resident [`State`] caching (see
-    /// [`ookami_core::scratch`]): a parked state can only ever be
-    /// re-claimed by the plan that shaped it.
-    uid: u64,
 }
 
 /// The compiled engine cached on a [`Trace`]. `plan: None` means every
@@ -728,25 +723,11 @@ pub(crate) struct Compiled {
     pub(crate) report: CompileReport,
 }
 
-#[derive(Default)]
+/// One chunk loop's lane rows: every serial call and every pool worker of
+/// a parallel region builds its own.
 struct State {
     rows: Vec<Row>,
     prows: Vec<Row>,
-}
-
-/// RAII handle over a worker-resident [`State`]: claimed from thread-local
-/// scratch on region entry (pool workers persist across regions, so a
-/// parked state is still warm), parked back when the region's chunk loop
-/// drops it. Steady-state `par_map` allocates nothing per region.
-struct StateGuard {
-    uid: u64,
-    st: State,
-}
-
-impl Drop for StateGuard {
-    fn drop(&mut self) {
-        scratch::put((self.uid, 0), Box::new(std::mem::take(&mut self.st)));
-    }
 }
 
 /// The native-plan admission gate: batchable elementwise shapes with a
@@ -878,7 +859,6 @@ pub(crate) fn build_plan(t: &Trace, passes: &PassOut) -> Option<(Plan, PlanFacts
         acct,
         acct_static,
         tab: mantissa_table(),
-        uid: scratch::unique_id(),
     };
     Some((plan, facts))
 }
@@ -932,64 +912,38 @@ impl Compiled {
         let n = out.len();
         let plan = match &self.plan {
             Some(p) if p.inputs.len() == ins.len() && n >= W => p,
-            _ => return replay_into(t, ins, out, 0),
+            _ => return t.replay_into(ins, out, 0),
         };
         let nfull = n / W;
-        let mut g = plan.acquire_state();
+        let mut st = plan.new_state();
         for c in 0..nfull {
-            plan.run_chunk(&mut g.st, ins, &mut out[c * W..(c + 1) * W], c * W);
+            plan.run_chunk(&mut st, ins, &mut out[c * W..(c + 1) * W], c * W);
         }
         counters::flush(&plan.acct_static, nfull as u64);
-        replay_into(t, ins, out, nfull * W);
+        t.replay_into(ins, out, nfull * W);
     }
 
     fn run_par(&self, t: &Trace, threads: usize, ins: &[&[f64]]) -> Vec<f64> {
         let n = ins[0].len();
         let plan = match &self.plan {
             Some(p) if p.inputs.len() == ins.len() && n >= W => p,
-            _ => {
-                return match ins {
-                    [xs] => t.replay_par_map(threads, xs),
-                    [xs, ys] => t.replay_par_map2(threads, xs, ys),
-                    _ => unreachable!("traces bind one or two streams"),
-                }
-            }
+            _ => return t.replay_par(threads, ins),
         };
         let nfull = n / W;
         let mut out = vec![0.0f64; n];
         let base = SendPtr::new(out.as_mut_ptr());
         par_for_with(threads, nfull, Schedule::Static, |_, s, e| {
-            let mut g = plan.acquire_state();
+            let mut st = plan.new_state();
             for c in s..e {
                 // SAFETY: chunk ranges are disjoint and claimed exactly
                 // once; `out` outlives the region (par_for_with blocks).
                 let chunk = unsafe { base.slice_mut(c * W, W) };
-                plan.run_chunk(&mut g.st, ins, chunk, c * W);
+                plan.run_chunk(&mut st, ins, chunk, c * W);
             }
         });
         counters::flush(&plan.acct_static, nfull as u64);
-        replay_into(t, ins, &mut out, nfull * W);
+        t.replay_into(ins, &mut out, nfull * W);
         out
-    }
-}
-
-/// Replay elements `[start, n)` of the range through the **original**
-/// trace — the tail/fallback path, bit- and counter-identical to a pure
-/// replayer run over the same blocks (`start` is always a multiple of the
-/// replayer's step width: `W` is a multiple of every power-of-two batch).
-fn replay_into(t: &Trace, ins: &[&[f64]], out: &mut [f64], start: usize) {
-    let n = out.len();
-    if start >= n {
-        return;
-    }
-    let mut r = Replayer::with_batch(t, t.auto_batch());
-    let w = r.width();
-    debug_assert_eq!(start % w, 0);
-    let (b0, b1) = (start / w, n.div_ceil(w));
-    match ins {
-        [xs] => t.map_range(&mut r, xs, &mut out[start..], b0, b1),
-        [xs, ys] => t.map2_range(&mut r, xs, ys, &mut out[start..], b0, b1),
-        _ => unreachable!("traces bind one or two streams"),
     }
 }
 
@@ -1340,21 +1294,15 @@ fn build_acct(t: &Trace, psubst: &HashMap<Slot, Slot>, full: &HashSet<Slot>) -> 
 }
 
 impl Plan {
-    /// Claim this worker's parked [`State`] for the plan — or allocate a
-    /// fresh one — and (re-)establish the setup row images. Nothing else
-    /// needs resetting: every other row a chunk reads is written earlier
-    /// in the same chunk (inputs re-tile, kernel destinations are SSA),
-    /// which is the same invariant the serial chunk loop already reuses
-    /// its state under.
-    fn acquire_state(&self) -> StateGuard {
-        let mut st = match scratch::take::<State>((self.uid, 0)) {
-            Some(s) => *s,
-            None => State {
-                rows: vec![[0u64; W]; self.n_v],
-                prows: vec![[0u64; W]; self.n_p],
-            },
+    /// A fresh [`State`] with the setup row images applied. Nothing else
+    /// needs initializing: every other row a chunk reads is written earlier
+    /// in the same chunk (inputs re-tile, kernel destinations are SSA), so
+    /// one state serves every chunk of a chunk loop.
+    fn new_state(&self) -> State {
+        let mut st = State {
+            rows: vec![[0u64; W]; self.n_v],
+            prows: vec![[0u64; W]; self.n_p],
         };
-        debug_assert_eq!(st.rows.len(), self.n_v);
         for &(s, v) in &self.splats {
             st.rows[s as usize] = [v; W];
         }
@@ -1373,7 +1321,7 @@ impl Plan {
                 *slot = if mask[l % mask.len()] { u64::MAX } else { 0 };
             }
         }
-        StateGuard { uid: self.uid, st }
+        st
     }
 
     /// Execute one full 512-lane block starting at element `i`.

@@ -59,10 +59,6 @@ impl SveCtx {
         self.recording.take().unwrap_or_default()
     }
 
-    pub fn is_recording(&self) -> bool {
-        self.recording.is_some()
-    }
-
     pub(crate) fn install_trace(&mut self, sink: TraceSink) {
         self.trace = Some(Box::new(sink));
     }

@@ -36,7 +36,6 @@ use crate::value::{Pred, VVal};
 use ookami_core::obs::{self, Counter};
 use ookami_core::pool::Schedule;
 use ookami_core::runtime::{par_for_with, SendPtr};
-use ookami_core::scratch;
 use ookami_uarch::meta::{self, LaneAccounting};
 use ookami_uarch::{Instr, OpClass, Reg, Width};
 
@@ -454,7 +453,6 @@ impl TraceBuilder {
             tap_v: self.tap_v,
             tap_p: self.tap_p,
             compiled: OnceLock::new(),
-            uid: scratch::unique_id(),
         }
     }
 }
@@ -493,11 +491,6 @@ pub struct Trace {
     /// Lazily built compiled engine (see [`crate::compile`]); the bulk
     /// drivers share it across calls.
     pub(crate) compiled: OnceLock<Arc<Compiled>>,
-    /// Process-unique identity for worker-resident scratch keys (see
-    /// [`ookami_core::scratch`]). Never reused: a clone gets a fresh id,
-    /// so a cached arena can only ever be re-claimed by the exact trace
-    /// instance that shaped it.
-    pub(crate) uid: u64,
 }
 
 impl Clone for Trace {
@@ -519,10 +512,6 @@ impl Clone for Trace {
             tap_v: self.tap_v.clone(),
             tap_p: self.tap_p.clone(),
             compiled: OnceLock::new(),
-            // A clone is usually about to be mutated, so it must not be
-            // able to claim scratch shaped by (or shape scratch for) the
-            // original.
-            uid: scratch::unique_id(),
         }
     }
 }
@@ -683,115 +672,93 @@ impl Trace {
     /// tail path, and the `replay_elems_per_sec` baseline in the probes).
     pub fn replay_map(&self, xs: &[f64]) -> Vec<f64> {
         let mut out = vec![0.0f64; xs.len()];
-        let mut r = Replayer::with_batch(self, self.auto_batch());
-        let w = r.width();
-        self.map_range(&mut r, xs, &mut out, 0, xs.len().div_ceil(w));
+        self.replay_into(&[xs], &mut out, 0);
         out
     }
 
     /// Replayer-only [`Trace::map2`].
     pub fn replay_map2(&self, xs: &[f64], ys: &[f64]) -> Vec<f64> {
         assert_eq!(xs.len(), ys.len());
-        assert_eq!(self.inputs.len(), 2, "map2 needs a two-input trace");
         let mut out = vec![0.0f64; xs.len()];
-        let mut r = Replayer::with_batch(self, self.auto_batch());
-        let w = r.width();
-        self.map2_range(&mut r, xs, ys, &mut out, 0, xs.len().div_ceil(w));
+        self.replay_into(&[xs, ys], &mut out, 0);
         out
     }
 
     /// Replayer-only [`Trace::par_map`].
     pub fn replay_par_map(&self, threads: usize, xs: &[f64]) -> Vec<f64> {
-        let batch = self.auto_batch();
-        let w = batch * self.vl;
-        let n_blocks = xs.len().div_ceil(w);
-        let mut out = vec![0.0f64; xs.len()];
-        let base = SendPtr::new(out.as_mut_ptr());
-        par_for_with(threads, n_blocks, Schedule::Static, |_, s, e| {
-            let mut r = Replayer::with_batch(self, batch);
-            // SAFETY: block ranges are disjoint and claimed exactly once
-            // per region; `out` outlives the region (par_for_with blocks).
-            let chunk = unsafe { base.slice_mut(s * w, ((e * w).min(xs.len())) - s * w) };
-            self.map_range(&mut r, xs, chunk, s, e);
-        });
-        out
+        self.replay_par(threads, &[xs])
     }
 
     /// Replayer-only [`Trace::par_map2`].
     pub fn replay_par_map2(&self, threads: usize, xs: &[f64], ys: &[f64]) -> Vec<f64> {
         assert_eq!(xs.len(), ys.len());
-        assert_eq!(self.inputs.len(), 2, "par_map2 needs a two-input trace");
+        self.replay_par(threads, &[xs, ys])
+    }
+
+    /// Replay elements `[start, n)` of the input streams `ins` into
+    /// `out[start..]`, where `n = out.len()` and `start` is a multiple of
+    /// the step width. The serial driver, and the compiled engine's
+    /// fallback and ragged-tail path.
+    pub(crate) fn replay_into(&self, ins: &[&[f64]], out: &mut [f64], start: usize) {
+        let n = out.len();
+        if start >= n {
+            return;
+        }
+        let mut r = Replayer::with_batch(self, self.auto_batch());
+        let w = r.width();
+        debug_assert_eq!(start % w, 0);
+        self.replay_blocks(&mut r, ins, &mut out[start..], start / w, n.div_ceil(w));
+    }
+
+    /// Replay the input streams `ins` over the worker pool with a static
+    /// schedule (deterministic block→thread assignment; lanes are
+    /// independent, so results stay bit-identical to [`Trace::replay_into`]).
+    pub(crate) fn replay_par(&self, threads: usize, ins: &[&[f64]]) -> Vec<f64> {
         let batch = self.auto_batch();
         let w = batch * self.vl;
-        let n_blocks = xs.len().div_ceil(w);
-        let mut out = vec![0.0f64; xs.len()];
+        let n = ins[0].len();
+        let mut out = vec![0.0f64; n];
         let base = SendPtr::new(out.as_mut_ptr());
-        par_for_with(threads, n_blocks, Schedule::Static, |_, s, e| {
+        par_for_with(threads, n.div_ceil(w), Schedule::Static, |_, s, e| {
             let mut r = Replayer::with_batch(self, batch);
-            let o = self.output(0);
-            for blk in s..e {
-                let i = blk * w;
-                let m = w.min(xs.len() - i);
-                r.set_block(i, xs.len());
-                r.bind_f64(0, &xs[i..i + m]);
-                r.bind_f64(1, &ys[i..i + m]);
-                r.step();
-                // SAFETY: blocks are disjoint, claimed once, and `out`
-                // outlives the region.
-                let chunk = unsafe { base.slice_mut(i, m) };
-                for (l, slot) in chunk.iter_mut().enumerate() {
-                    *slot = r.lane_f64(o, l);
-                }
-            }
+            // SAFETY: block ranges are disjoint and claimed exactly once
+            // per region; `out` outlives the region (par_for_with blocks).
+            let chunk = unsafe { base.slice_mut(s * w, (e * w).min(n) - s * w) };
+            self.replay_blocks(&mut r, ins, chunk, s, e);
         });
         out
     }
 
-    /// Replay blocks `[b0, b1)` of `xs`, writing into `out` (which starts
-    /// at element `b0 * w` of the logical output, where `w` is the
-    /// replayer's step width — `vl` times its batch factor).
-    pub(crate) fn map_range(
+    /// The one block driver behind every bulk replay: replay blocks
+    /// `[b0, b1)` of the input streams `ins` (one per bound input, all of
+    /// one length), writing into `out`, which starts at element `b0 * w`
+    /// of the logical output (`w` is the replayer's step width — `vl`
+    /// times its batch factor).
+    fn replay_blocks(
         &self,
         r: &mut Replayer,
-        xs: &[f64],
+        ins: &[&[f64]],
         out: &mut [f64],
         b0: usize,
         b1: usize,
     ) {
-        assert_eq!(self.inputs.len(), 1, "map needs a one-input trace");
+        assert_eq!(
+            self.inputs.len(),
+            ins.len(),
+            "trace binds {} input streams, got {}",
+            self.inputs.len(),
+            ins.len()
+        );
         let w = r.width();
+        let n = ins[0].len();
         let o = self.output(0);
         for blk in b0..b1 {
             let i = blk * w;
-            let m = w.min(xs.len() - i);
-            r.set_block(i, xs.len());
-            r.bind_f64(0, &xs[i..i + m]);
-            r.step();
-            let lo = i - b0 * w;
-            for (l, slot) in out[lo..lo + m].iter_mut().enumerate() {
-                *slot = r.lane_f64(o, l);
+            let m = w.min(n - i);
+            r.set_block(i, n);
+            for (k, xs) in ins.iter().enumerate() {
+                r.bind_f64(k, &xs[i..i + m]);
             }
-        }
-    }
-
-    /// [`Trace::map_range`] with two input streams.
-    pub(crate) fn map2_range(
-        &self,
-        r: &mut Replayer,
-        xs: &[f64],
-        ys: &[f64],
-        out: &mut [f64],
-        b0: usize,
-        b1: usize,
-    ) {
-        let w = r.width();
-        let o = self.output(0);
-        for blk in b0..b1 {
-            let i = blk * w;
-            let m = w.min(xs.len() - i);
-            r.set_block(i, xs.len());
-            r.bind_f64(0, &xs[i..i + m]);
-            r.bind_f64(1, &ys[i..i + m]);
             r.step();
             let lo = i - b0 * w;
             for (l, slot) in out[lo..lo + m].iter_mut().enumerate() {
@@ -984,13 +951,6 @@ impl Trace {
             table_len,
             live_out,
         }
-    }
-
-    /// Lengths of the captured gather/scatter tables, indexed by the
-    /// `tab` field of [`TOp::Gather`]/[`TOp::Scatter`] (bounds facts for
-    /// the translation validator).
-    pub fn table_lens(&self) -> Vec<usize> {
-        self.tabs.iter().map(Vec::len).collect()
     }
 
     /// The per-pass snapshot trail of the compiler's pipeline on this
@@ -1251,14 +1211,26 @@ fn vdst_mut(op: &mut TOp) -> Option<&mut Slot> {
     }
 }
 
-/// The worker-resident half of a [`Replayer`]: the SoA lane arena, the
-/// predicate masks, optional private table copies, and the resolved body
-/// program. Parked in [`ookami_core::scratch`] keyed by
-/// `(trace uid, step width)` when a replayer drops, and re-claimed by the
-/// next replayer for the same trace × width on the same pool worker — so
-/// steady-state `par_map` regions allocate nothing.
-#[derive(Default)]
-struct ReplayScratch {
+/// Replay arena for one [`Trace`]: a flat `u64` buffer of `n_v × w`
+/// vector lanes, one bitmask per predicate slot, (for scattering traces)
+/// working copies of the captured tables, and the body resolved against
+/// that layout. SSA slot numbering guarantees an op's destination never
+/// aliases its sources, so execution writes in place. Every replayer
+/// allocates its own arena; a bulk call builds one per pool worker.
+pub struct Replayer<'t> {
+    t: &'t Trace,
+    /// Lanes processed per step: `batch × vl`. Elementwise traces (no
+    /// carries, no `compact`) replay several contiguous blocks per step —
+    /// the `whilelt` mask `i + l < n` is linear in the lane index, so
+    /// concatenating blocks is bit-identical while amortizing the per-op
+    /// dispatch over up to 64 lanes.
+    w: usize,
+    /// How many `vl`-wide interpreter iterations the current step stands
+    /// for: `ceil(active_block_lanes / vl)` after [`Replayer::set_block`],
+    /// the full batch otherwise. Drives the obs counters so replay totals
+    /// stay identical to interpreting the same range (ragged tails count
+    /// one partial iteration, exactly as the interpreter would).
+    blocks: usize,
     /// SoA vector arena: slot `s` owns the contiguous lane block
     /// `[s*w, (s+1)*w)`. All body addressing is via offsets precomputed
     /// into [`RProgram`], not per-step `slot × w` arithmetic.
@@ -1274,42 +1246,6 @@ struct ReplayScratch {
     prog: RProgram,
 }
 
-/// Preallocated replay arena for one [`Trace`]: a flat `u64` buffer of
-/// `n_v × vl` vector lanes, one bitmask per predicate slot, and (for
-/// scattering traces) working copies of the captured tables. SSA slot
-/// numbering guarantees an op's destination never aliases its sources, so
-/// execution writes in place. The arena and the resolved body program are
-/// worker-resident: dropped replayers park them in thread-local scratch
-/// for the next replayer of the same trace and width to re-claim.
-pub struct Replayer<'t> {
-    t: &'t Trace,
-    /// Lanes processed per step: `batch × vl`. Elementwise traces (no
-    /// carries, no `compact`) replay several contiguous blocks per step —
-    /// the `whilelt` mask `i + l < n` is linear in the lane index, so
-    /// concatenating blocks is bit-identical while amortizing the per-op
-    /// dispatch over up to 64 lanes.
-    w: usize,
-    /// How many `vl`-wide interpreter iterations the current step stands
-    /// for: `ceil(active_block_lanes / vl)` after [`Replayer::set_block`],
-    /// the full batch otherwise. Drives the obs counters so replay totals
-    /// stay identical to interpreting the same range (ragged tails count
-    /// one partial iteration, exactly as the interpreter would).
-    blocks: usize,
-    s: ReplayScratch,
-}
-
-impl Drop for Replayer<'_> {
-    /// Park the arena + resolved program for the next replayer of this
-    /// trace × width on this thread (pool workers persist across regions,
-    /// so this is worker-local storage).
-    fn drop(&mut self) {
-        scratch::put(
-            (self.t.uid, self.w as u64),
-            Box::new(std::mem::take(&mut self.s)),
-        );
-    }
-}
-
 impl<'t> Replayer<'t> {
     pub fn new(t: &'t Trace) -> Self {
         Replayer::with_batch(t, 1)
@@ -1319,46 +1255,22 @@ impl<'t> Replayer<'t> {
         assert!(batch >= 1 && (batch == 1 || t.batchable()));
         let w = batch * t.vl;
         assert!(w <= 64, "predicate bitmasks hold at most 64 lanes");
-        // Re-claim this worker's parked arena for (trace, width), falling
-        // back to a fresh allocation + program resolve. A hit always has
-        // matching shapes: uids are never reused, and a trace's register
-        // files and tables are fixed after recording.
-        let mut s = match scratch::take::<ReplayScratch>((t.uid, w as u64)) {
-            Some(s) => *s,
-            None => ReplayScratch {
-                vbuf: vec![0u64; t.n_v * w],
-                pbuf: vec![0u64; t.n_p],
-                tabs: Vec::new(),
-                prog: RProgram::build(t, w),
-            },
-        };
-        debug_assert_eq!(s.vbuf.len(), t.n_v * w);
-        // Parked contents are stale data from an earlier region: re-zero
-        // the arenas (two memsets, no allocation) and re-establish every
-        // setup invariant below, exactly as a fresh replayer would.
-        s.vbuf.fill(0);
-        s.pbuf.fill(0);
-        if t.scatters() {
-            // Scatter-visible tables must start from the captured bits
-            // each replay; re-sync the private copies in place.
-            if s.tabs.len() == t.tabs.len() {
-                for (dst, src) in s.tabs.iter_mut().zip(&t.tabs) {
-                    dst.copy_from_slice(src);
-                }
-            } else {
-                s.tabs.clone_from(&t.tabs);
-            }
-        } else {
-            s.tabs.clear();
-        }
         let mut r = Replayer {
             t,
             w,
             blocks: batch,
-            s,
+            vbuf: vec![0u64; t.n_v * w],
+            pbuf: vec![0u64; t.n_p],
+            // Scatter-visible tables start from the captured bits.
+            tabs: if t.scatters() {
+                t.tabs.clone()
+            } else {
+                Vec::new()
+            },
+            prog: RProgram::build(t, w),
         };
         if let Some(lp) = t.loop_pred {
-            r.s.pbuf[lp as usize] = r.full_mask();
+            r.pbuf[lp as usize] = r.full_mask();
         }
         // Setup ops replay once per replayer and are never counted: the
         // interpreter's constants/ptrue are setup too and equally uncounted.
@@ -1396,7 +1308,7 @@ impl<'t> Replayer<'t> {
                 m |= 1 << l;
             }
         }
-        self.s.pbuf[lp as usize] = m;
+        self.pbuf[lp as usize] = m;
         self.blocks = n.saturating_sub(i).min(self.w).div_ceil(self.t.vl);
     }
 
@@ -1406,7 +1318,7 @@ impl<'t> Replayer<'t> {
         let s = self.t.inputs[ord] as usize * self.w;
         assert!(lanes.len() <= self.w);
         obs::add(Counter::BytesLoaded, 8 * lanes.len() as u64);
-        for (l, lane) in self.s.vbuf[s..s + self.w].iter_mut().enumerate() {
+        for (l, lane) in self.vbuf[s..s + self.w].iter_mut().enumerate() {
             *lane = lanes.get(l).map_or(0, |x| x.to_bits());
         }
     }
@@ -1416,7 +1328,7 @@ impl<'t> Replayer<'t> {
         let s = self.t.inputs[ord] as usize * self.w;
         assert!(lanes.len() <= self.w);
         obs::add(Counter::BytesLoaded, 8 * lanes.len() as u64);
-        for (l, lane) in self.s.vbuf[s..s + self.w].iter_mut().enumerate() {
+        for (l, lane) in self.vbuf[s..s + self.w].iter_mut().enumerate() {
             *lane = lanes.get(l).map_or(0, |&x| x as u64);
         }
     }
@@ -1435,12 +1347,13 @@ impl<'t> Replayer<'t> {
         let counting = obs::enabled() && blocks > 0;
         let full_lanes = blocks * self.t.vl as u64;
         let t = self.t;
-        let ReplayScratch {
+        let Replayer {
             vbuf,
             pbuf,
             tabs,
             prog,
-        } = &mut self.s;
+            ..
+        } = self;
         for step in &prog.body {
             if counting {
                 count_step(&step.count, pbuf, blocks, full_lanes);
@@ -1456,7 +1369,7 @@ impl<'t> Replayer<'t> {
         for &(init, updated) in &self.t.carries {
             let (di, si) = (init as usize * w, updated as usize * w);
             for l in 0..w {
-                self.s.vbuf[di + l] = self.s.vbuf[si + l];
+                self.vbuf[di + l] = self.vbuf[si + l];
             }
         }
     }
@@ -1465,7 +1378,7 @@ impl<'t> Replayer<'t> {
     /// re-running the setup ops (constants / `ptrue` / `index` — the only
     /// things that can define a carry init). Lets one replayer run many
     /// independent accumulation chains — e.g. SpMV row blocks — without
-    /// paying a fresh arena acquisition per chain. Setup replay is
+    /// building a fresh replayer per chain. Setup replay is
     /// uncounted on both executors, so obs totals are unaffected.
     pub fn reset_carries(&mut self) {
         let setup: &'t [TOp] = &self.t.setup;
@@ -1475,30 +1388,26 @@ impl<'t> Replayer<'t> {
     }
 
     pub fn lane_bits(&self, v: VSlot, l: usize) -> u64 {
-        self.s.vbuf[v.0 as usize * self.w + l]
+        self.vbuf[v.0 as usize * self.w + l]
     }
 
     pub fn lane_f64(&self, v: VSlot, l: usize) -> f64 {
         f64::from_bits(self.lane_bits(v, l))
     }
 
-    pub fn lane_i64(&self, v: VSlot, l: usize) -> i64 {
-        self.lane_bits(v, l) as i64
-    }
-
     pub fn pred_lane(&self, p: PSlot, l: usize) -> bool {
-        self.s.pbuf[p.0 as usize] >> l & 1 == 1
+        self.pbuf[p.0 as usize] >> l & 1 == 1
     }
 
     /// Active-lane count of a traced predicate (the `count_active` tap).
     pub fn count_active(&self, p: PSlot) -> usize {
-        self.s.pbuf[p.0 as usize].count_ones() as usize
+        self.pbuf[p.0 as usize].count_ones() as usize
     }
 
     /// Horizontal sum of `v`'s active lanes in lane order — identical
     /// association to the interpreter's `faddv`.
     pub fn faddv(&self, p: PSlot, v: VSlot) -> f64 {
-        let m = self.s.pbuf[p.0 as usize];
+        let m = self.pbuf[p.0 as usize];
         (0..self.w)
             .filter(|&l| m >> l & 1 == 1)
             .map(|l| self.lane_f64(v, l))
@@ -1509,15 +1418,15 @@ impl<'t> Replayer<'t> {
     /// results from here. Scattering traces expose their private working
     /// copy; everything else reads the trace's captured table in place.
     pub fn table(&self, k: usize) -> &[f64] {
-        if self.s.tabs.is_empty() {
+        if self.tabs.is_empty() {
             &self.t.tabs[k]
         } else {
-            &self.s.tabs[k]
+            &self.tabs[k]
         }
     }
 
     /// Execute one op the slow TOp-walking way — the setup path (run once
-    /// per arena acquisition, never counted). The body goes through the
+    /// per replayer and per [`Replayer::reset_carries`], never counted). The body goes through the
     /// resolved [`RProgram`] in [`Replayer::step`] instead.
     fn exec_one(&mut self, op: &TOp) {
         let w = self.w;
@@ -1527,20 +1436,25 @@ impl<'t> Replayer<'t> {
                 let d = dst as usize * w;
                 // Broadcast the recorded block's constant lanes across
                 // every batched block.
-                for chunk in self.s.vbuf[d..d + w].chunks_exact_mut(lanes.len()) {
+                for chunk in self.vbuf[d..d + w].chunks_exact_mut(lanes.len()) {
                     chunk.copy_from_slice(lanes);
                 }
             }
             TOp::Ptrue { dst } => {
-                self.s.pbuf[dst as usize] = full;
+                self.pbuf[dst as usize] = full;
             }
             ref op => {
                 let rop = resolve_op(op, w);
                 let t = self.t;
-                let ReplayScratch {
-                    vbuf, pbuf, tabs, ..
-                } = &mut self.s;
-                exec_rop(&rop, vbuf, pbuf, tabs, &t.tabs, w, full);
+                exec_rop(
+                    &rop,
+                    &mut self.vbuf,
+                    &mut self.pbuf,
+                    &mut self.tabs,
+                    &t.tabs,
+                    w,
+                    full,
+                );
             }
         }
     }
@@ -1548,12 +1462,10 @@ impl<'t> Replayer<'t> {
 
 /// The replayer body with every operand resolved ahead of time: vector
 /// slots become element offsets into the SoA arena (`slot × w`, computed
-/// once per (trace, width) instead of per step per op), and each op's obs
+/// once per replayer instead of per step per op), and each op's obs
 /// recipe ([`RCount`]) is resolved from `top_class` + the unified
 /// `ookami_uarch::meta::lane_accounting` table at build time, so the hot
-/// loop never consults the class tables. Built on first arena acquisition
-/// and parked with the arena in worker-resident scratch.
-#[derive(Default)]
+/// loop never consults the class tables. Built with every [`Replayer`].
 struct RProgram {
     body: Vec<RStep>,
 }
@@ -2427,6 +2339,20 @@ mod tests {
             assert_eq!(r.lane_f64(t.output(0), l), src[p as usize]);
         }
         assert_eq!(r.table(scat_tab), &src[..]);
+        drop(r);
+
+        // A second replayer of the same trace, on the same thread, starts
+        // from the captured table, not from the first one's scatters.
+        let mut r2 = t.replayer();
+        assert_eq!(r2.table(scat_tab), &dst[..]);
+        r2.set_block(0, 2);
+        r2.bind_i64(0, &perm);
+        r2.step();
+        let mut want = dst.clone();
+        for &p in &perm[..2] {
+            want[p as usize] = src[p as usize];
+        }
+        assert_eq!(r2.table(scat_tab), &want[..]);
     }
 
     #[test]

@@ -290,12 +290,12 @@ fn ragged_tails_at_chunk_boundaries() {
     }
 }
 
-/// Steady-state parallel replay reuses worker-resident arenas: running
-/// the same trace through the pool repeatedly must keep producing the
-/// serial bits (the arena take/put protocol re-establishes all per-region
-/// invariants, so staleness would show up here as bit drift).
+/// Repeated parallel regions on one trace: running the same trace (and
+/// its compiled form) through the pool again and again must keep
+/// producing the serial bits, so no region can see state left behind by
+/// an earlier one.
 #[test]
-fn worker_resident_arenas_survive_repeated_regions() {
+fn repeated_regions_on_one_trace_match_serial() {
     let _g = pool_lock();
     let t = Trace::record1(4, |ctx, pg, x| {
         let z = ctx.dup_f64(0.0);

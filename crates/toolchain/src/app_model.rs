@@ -3,14 +3,14 @@
 //! Combines the pieces: a [`WorkloadProfile`] (what the application does),
 //! a [`Compiler`] (how well it compiles: vectorization, math library,
 //! codegen efficiency), a [`Machine`] (how fast it executes), a thread
-//! count and a [`Placement`] (where the data lives). Used by the NPB
-//! (Figs. 3–6) and LULESH (Table II / Fig. 7) regenerators.
+//! count and a [`Placement`](ookami_mem::placement::Placement) (where the
+//! data lives). Used by the NPB (Figs. 3–6) and LULESH (Table II / Fig. 7)
+//! regenerators.
 
 use crate::compiler::Compiler;
 use crate::mathlib::math_cycles_per_element;
 use crate::omp::OmpModel;
 use ookami_core::WorkloadProfile;
-use ookami_mem::placement::{effective_bandwidth_gbs, Placement};
 use ookami_mem::scaling::{parallel_time_s, ParallelWorkload};
 use ookami_uarch::Machine;
 
@@ -95,11 +95,6 @@ pub fn efficiency(p: &WorkloadProfile, c: Compiler, m: &Machine, threads: usize)
     let t1 = predict_seconds(p, c, m, 1, &omp);
     let tn = predict_seconds(p, c, m, threads, &omp);
     t1 / (threads as f64 * tn)
-}
-
-/// Effective single-core memory bandwidth (exported for workload tests).
-pub fn bw_1core_gbs(m: &Machine) -> f64 {
-    effective_bandwidth_gbs(&m.numa, Placement::FirstTouch, 1)
 }
 
 #[cfg(test)]

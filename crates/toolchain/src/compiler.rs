@@ -1,7 +1,7 @@
 //! The five toolchains and their modeled properties.
 
 use ookami_core::MathFunc;
-use ookami_vecmath::exp::{ExpVariant, Poly13Style};
+use ookami_vecmath::exp::ExpVariant;
 use ookami_vecmath::pow::PowStyle;
 use ookami_vecmath::recip::RecipStyle;
 use ookami_vecmath::sqrt::SqrtStyle;
@@ -104,14 +104,6 @@ impl Compiler {
             Compiler::Arm => Some(ExpVariant::Poly13Sleef),
             Compiler::Gnu => None,
             Compiler::Intel => Some(ExpVariant::Poly13),
-        }
-    }
-
-    /// 13-term style used when `exp_variant` falls in that family.
-    pub fn poly13_style(self) -> Poly13Style {
-        match self {
-            Compiler::Arm => Poly13Style::Sleef,
-            _ => Poly13Style::Plain,
         }
     }
 

@@ -119,12 +119,6 @@ fn eval(
     }
 }
 
-/// Convenience: pow needs a second operand stream; expose the two-input
-/// flag so loop drivers can charge the extra load.
-pub fn is_two_input(f: MathFunc) -> bool {
-    matches!(f, MathFunc::Pow)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -27,11 +27,10 @@ cargo test -q --workspace --features obs
 echo "== criterion benches compile"
 cargo bench --no-run
 
-# Snapshot the committed baselines BEFORE any probe smoke overwrites them:
-# benchdiff compares what the branch committed against what it produces.
-baseline_dir="$(mktemp -d)"
-trap 'rm -rf "$baseline_dir"' EXIT
-cp BENCH_*.json "$baseline_dir"/
+# Probes write their reports to target/bench/, never over the committed
+# baselines at the repo root; start from an empty directory so benchdiff
+# judges only what this run produced.
+rm -rf target/bench
 
 echo "== trace-replay + compiled-trace identity smoke (svereplay --smoke, both obs modes)"
 # The probe drives interpreter, replayer, and the compiled native path and
@@ -56,7 +55,7 @@ cargo run -p ookami-bench --features obs --bin spmv --release -- --smoke
 
 echo "== counter-layer smoke (ookamistat --smoke, obs on) + trace + schema check"
 cargo run -p ookami-bench --features obs --bin ookamistat --release -- --smoke --trace target/trace.json
-cargo run -p ookami-bench --bin report --release -- --validate BENCH_obs.json
+cargo run -p ookami-bench --bin report --release -- --validate target/bench/BENCH_obs.json
 
 echo "== span-tree profiler smoke (ookamiprof --smoke, both obs modes)"
 # With obs the probe asserts histogram counts, span-tree counts, and the
@@ -65,17 +64,17 @@ echo "== span-tree profiler smoke (ookamiprof --smoke, both obs modes)"
 # produce a schema-valid report from the no-op telemetry layer.
 cargo run -p ookami-bench --bin ookamiprof --release -- --smoke
 cargo run -p ookami-bench --features obs --bin ookamiprof --release -- --smoke
-cargo run -p ookami-bench --bin report --release -- --validate BENCH_prof.json
+cargo run -p ookami-bench --bin report --release -- --validate target/bench/BENCH_prof.json
 test -s target/PROFILE.collapsed
 
 echo "== bench-trajectory gate (benchdiff vs committed baselines)"
 cargo run -p ookami-bench --features obs --bin benchdiff --release -- \
-  --baseline "$baseline_dir" --current . --out target/BENCHDIFF.json
+  --baseline . --current target/bench --out target/BENCHDIFF.json
 # Self-test: an injected synthetic regression must trip the gate (exit 1)
 # and --explain must rank the counter deltas that caused it.
 inject_out="$(mktemp)"
 if cargo run -p ookami-bench --features obs --bin benchdiff --release -- \
-  --baseline "$baseline_dir" --current . --out target/BENCHDIFF.inject.json \
+  --baseline . --current target/bench --out target/BENCHDIFF.inject.json \
   --inject-regression --explain >"$inject_out" 2>&1; then
   echo "benchdiff failed to flag an injected regression" >&2
   rm -f "$inject_out"
@@ -88,9 +87,6 @@ if ! grep -q "top counter deltas vs baseline" "$inject_out"; then
   exit 1
 fi
 rm -f "$inject_out"
-# Leave the working tree as committed: the probe smokes overwrote the
-# full-mode baselines with their small-problem numbers.
-cp "$baseline_dir"/BENCH_*.json .
 
 echo "== static verifier + mutation corpus (ookamicheck, both obs modes)"
 cargo run -p ookami-bench --bin ookamicheck --release -- \
