@@ -21,6 +21,6 @@ fn main() {
         .metric("implementations", rows.len() as f64)
         .attach_obs(&obs::snapshot().since(&obs_before));
     let path = ookami_bench::bench_out("BENCH_accuracy.json");
-    ookami_bench::write_report(&report, &path);
+    ookami_bench::write_or_exit(&path, |p| report.write(p));
     println!("wrote {path}");
 }

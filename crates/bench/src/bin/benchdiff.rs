@@ -640,7 +640,7 @@ fn main() {
             },
         );
     }
-    ookami_bench::write_report(&report, &out_path);
+    ookami_bench::write_or_exit(&out_path, |p| report.write(p));
     println!("wrote {out_path}");
 
     std::process::exit(i32::from(!pass));

@@ -68,7 +68,7 @@ fn main() {
         .flag("gate", ratio_at_8 >= 5.0)
         .attach_obs(&obs::snapshot().since(&obs_before));
     let path = ookami_bench::bench_out("BENCH_forkjoin.json");
-    ookami_bench::write_report(&report, &path);
+    ookami_bench::write_or_exit(&path, |p| report.write(p));
     println!("wrote {path}");
     if ratio_at_8 >= 5.0 {
         println!("OK: pool fork/join is {ratio_at_8:.1}x cheaper than spawn at 8 threads (>= 5x)");

@@ -346,10 +346,7 @@ fn run_tv(json_path: &str) -> usize {
         challenges.join(",\n")
     );
     Json::parse(&doc).expect("ookamicheck TV report must be valid JSON");
-    if let Some(dir) = std::path::Path::new(json_path).parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    std::fs::write(json_path, &doc).expect("write TV report");
+    ookami_bench::write_or_exit(json_path, |p| std::fs::write(p, &doc));
     println!("wrote {json_path}");
     failures
 }
@@ -532,10 +529,7 @@ fn main() {
         reports.join(",\n")
     );
     Json::parse(&doc).expect("ookamicheck report must be valid JSON");
-    if let Some(dir) = std::path::Path::new(&json_path).parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    std::fs::write(&json_path, &doc).expect("write report");
+    ookami_bench::write_or_exit(&json_path, |p| std::fs::write(p, &doc));
     println!("wrote {json_path}");
 
     if failures > 0 {

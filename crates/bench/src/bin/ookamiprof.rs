@@ -233,10 +233,7 @@ fn main() {
         print!("{}", tree.render_table());
         let collapsed = tree.collapsed();
         spantree::parse_collapsed(&collapsed).expect("own collapsed export round-trips");
-        if let Some(dir) = std::path::Path::new(&collapsed_path).parent() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-        std::fs::write(&collapsed_path, &collapsed).expect("write collapsed stacks");
+        ookami_bench::write_or_exit(&collapsed_path, |p| std::fs::write(p, &collapsed));
         println!(
             "wrote {collapsed_path} ({} stacks)",
             collapsed.lines().count()
@@ -253,7 +250,7 @@ fn main() {
     }
 
     report.attach_obs(&obs::snapshot());
-    ookami_bench::write_report(&report, &out_path);
+    ookami_bench::write_or_exit(&out_path, |p| report.write(p));
     println!("wrote {out_path}");
     if failures > 0 {
         eprintln!("ookamiprof: {failures} identity gate(s) failed");

@@ -177,7 +177,7 @@ fn main() {
                 stats.threads, stats.events_retained, stats.events_dropped
             );
         }
-        std::fs::write(path, &doc).expect("write Chrome trace");
+        ookami_bench::write_or_exit(path, |p| std::fs::write(p, &doc));
         println!("wrote {path} (Chrome trace-event JSON; load in Perfetto)");
     }
 
@@ -221,7 +221,7 @@ fn main() {
         println!();
     }
     let path = ookami_bench::bench_out("BENCH_obs.json");
-    ookami_bench::write_report(&report, &path);
+    ookami_bench::write_or_exit(&path, |p| report.write(p));
     // Belt and braces: re-read and validate what actually landed on disk.
     let disk = std::fs::read_to_string(&path).expect("read back BENCH_obs.json");
     obs::validate_bench_json(&disk).expect("BENCH_obs.json fails schema validation");

@@ -223,7 +223,7 @@ fn main() {
         .flag("gate", gate)
         .attach_obs(&obs::snapshot().since(&obs_before));
     let path = ookami_bench::bench_out("BENCH_spmv.json");
-    ookami_bench::write_report(&report, &path);
+    ookami_bench::write_or_exit(&path, |p| report.write(p));
     println!("wrote {path}");
 
     if !gate {

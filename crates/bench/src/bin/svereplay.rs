@@ -338,7 +338,7 @@ fn main() {
         report.metric(&format!("compiled_par{th}_elems_per_sec"), n as f64 / s);
     }
     let path = ookami_bench::bench_out("BENCH_sve.json");
-    ookami_bench::write_report(&report, &path);
+    ookami_bench::write_or_exit(&path, |p| report.write(p));
     println!("wrote {path}");
 
     // Per-variant pass-pipeline summary (uploaded as a CI artifact).
@@ -365,8 +365,7 @@ fn main() {
         entries.join(",\n")
     );
     obs::Json::parse(&doc).expect("compile report must be valid JSON");
-    let _ = std::fs::create_dir_all("target");
-    std::fs::write("target/COMPILE_REPORT.json", &doc).expect("write compile report");
+    ookami_bench::write_or_exit("target/COMPILE_REPORT.json", |p| std::fs::write(p, &doc));
     println!("wrote target/COMPILE_REPORT.json");
 
     if !bit_identical || !instrs_identical || !counters_identical {

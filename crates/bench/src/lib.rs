@@ -1,4 +1,4 @@
-//! # ookami-bench — figure/table regenerators and micro-benchmarks
+//! # ookami-bench — figure/table regenerators and measurement probes
 //!
 //! Binaries (run with `cargo run -p ookami-bench --bin <name> --release`):
 //!
@@ -9,16 +9,8 @@
 //!   spawn-per-region, plus fitted `BarrierCost` constants for the OpenMP
 //!   runtime model.
 //!
-//! Criterion benches (run with `cargo bench -p ookami-bench`):
-//!
-//! * `loops_native` — the Section III loop suite, natively executed;
-//! * `exp_bench` — exp implementations through the SVE emulator (Section IV);
-//! * `npb_bench` — EP/CG/BT/SP/LU/UA kernels at small classes (Section V);
-//! * `lulesh_bench` — Base vs Vect Sedov steps (Section VI);
-//! * `hpcc_bench` — DGEMM/HPL/FFT kernels (Section VII);
-//! * `mc_bench` — the Monte Carlo example, serial vs restructured;
-//! * `fork_join` — empty-region cost of the pool vs spawn-per-region, and
-//!   the three loop schedules.
+//! Each regenerator evaluates its figure once: the row function is the
+//! model evaluation and the text is laid out from those rows.
 
 pub mod ablations;
 pub mod accuracy;
@@ -27,94 +19,67 @@ pub mod family;
 
 use std::path::Path;
 
-use ookami_core::measure::{to_csv, Measurement};
-use ookami_core::obs::BenchReport;
+use ookami_core::measure::{render_pivot, to_csv, Measurement};
 
-/// Render a figure by name; returns `(pretty_text, rows)`.
+/// Evaluate a figure by name once; returns `(pretty_text, rows)`, the
+/// text laid out from the rows. `None` for an unknown id.
 pub fn figure(name: &str) -> Option<(String, Vec<Measurement>)> {
-    match name {
-        "fig1" => Some((
-            ookami_loops::fig1::render_figure1(),
-            ookami_loops::fig1::figure1(),
-        )),
-        "fig2" => Some((
-            ookami_loops::fig2::render_figure2(),
-            ookami_loops::fig2::figure2(),
-        )),
-        "sec4" => Some((
-            ookami_loops::sec4::render_sec4(),
-            ookami_loops::sec4::toolchain_ladder(),
-        )),
-        "fig3" => Some((
-            ookami_npb::figures::render(
-                &ookami_npb::figures::figure3(),
-                "Fig. 3 — NPB class C single-core runtime (s)",
-                0,
-            ),
-            ookami_npb::figures::figure3(),
-        )),
-        "fig4" => Some((
-            ookami_npb::figures::render(
-                &ookami_npb::figures::figure4(),
-                "Fig. 4 — NPB class C all-cores runtime (s)",
-                1,
-            ),
-            ookami_npb::figures::figure4(),
-        )),
-        "fig5" => Some((
-            ookami_npb::figures::render(
-                &ookami_npb::figures::figure5(),
-                "Fig. 5 — NPB parallel efficiency, A64FX/GCC",
-                2,
-            ),
-            ookami_npb::figures::figure5(),
-        )),
-        "fig6" => Some((
-            ookami_npb::figures::render(
-                &ookami_npb::figures::figure6(),
+    use ookami_hpcc::figures as hpcc;
+    use ookami_loops::{fig1, fig2, sec4};
+    use ookami_lulesh::table2;
+    use ookami_npb::figures as npb;
+    let (rows, render): (Vec<Measurement>, fn(&[Measurement]) -> String) = match name {
+        "fig1" => (fig1::figure1(), fig1::render_figure1),
+        "fig2" => (fig2::figure2(), fig2::render_figure2),
+        "sec4" => (sec4::toolchain_ladder(), sec4::render_sec4),
+        "fig3" => (npb::figure3(), |r| {
+            render_pivot(r, "Fig. 3 — NPB class C single-core runtime (s)", "app", 0)
+        }),
+        "fig4" => (npb::figure4(), |r| {
+            render_pivot(r, "Fig. 4 — NPB class C all-cores runtime (s)", "app", 1)
+        }),
+        "fig5" => (npb::figure5(), |r| {
+            render_pivot(r, "Fig. 5 — NPB parallel efficiency, A64FX/GCC", "app", 2)
+        }),
+        "fig6" => (npb::figure6(), |r| {
+            render_pivot(
+                r,
                 "Fig. 6 — NPB parallel efficiency, Skylake/Intel",
+                "app",
                 2,
-            ),
-            ookami_npb::figures::figure6(),
-        )),
-        "fig7" | "table2" => Some((
-            ookami_lulesh::table2::render_table2(),
-            ookami_lulesh::table2::table2(),
-        )),
-        "fig8" => Some((
-            ookami_hpcc::figures::render_figure8(),
-            ookami_hpcc::figures::figure8(),
-        )),
-        "fig9" => Some((
-            ookami_hpcc::figures::render_figure9(),
-            ookami_hpcc::figures::figure9(),
-        )),
-        _ => None,
-    }
+            )
+        }),
+        "fig7" | "table2" => (table2::table2(), table2::render_table2),
+        "fig8" => (hpcc::figure8(), hpcc::render_figure8),
+        "fig9" => (hpcc::figure9(), hpcc::render_figure9),
+        _ => return None,
+    };
+    Some((render(&rows), rows))
 }
 
-/// Every figure id, in paper order.
+/// Every figure id, in paper order (`figure` also takes `table2` for
+/// `fig7`).
 pub const ALL_FIGURES: [&str; 10] = [
     "fig1", "fig2", "sec4", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
 ];
 
+/// Every table id, in paper order.
+pub const ALL_TABLES: [&str; 3] = ["table1", "table2", "table3"];
+
 /// Render one or all figures, optionally as CSV.
 pub fn run_figures(which: &str, csv: bool) -> String {
-    let mut out = String::new();
-    let names: Vec<&str> = if which == "all" {
-        ALL_FIGURES.to_vec()
+    let names = if which == "all" {
+        &ALL_FIGURES[..]
     } else {
-        vec![which]
+        std::slice::from_ref(&which)
     };
+    let mut out = String::new();
     for n in names {
         match figure(n) {
-            Some((text, rows)) => {
-                if csv {
-                    out.push_str(&to_csv(&rows));
-                } else {
-                    out.push_str(&text);
-                    out.push('\n');
-                }
+            Some((_, rows)) if csv => out.push_str(&to_csv(&rows)),
+            Some((text, _)) => {
+                out.push_str(&text);
+                out.push('\n');
             }
             None => out.push_str(&format!("unknown figure: {n}\n")),
         }
@@ -148,16 +113,19 @@ pub fn render_table1() -> String {
 
 /// Render a table by name.
 pub fn run_tables(which: &str) -> String {
-    let mut out = String::new();
-    let names: Vec<&str> = if which == "all" {
-        vec!["table1", "table2", "table3"]
+    let names = if which == "all" {
+        &ALL_TABLES[..]
     } else {
-        vec![which]
+        std::slice::from_ref(&which)
     };
+    let mut out = String::new();
     for n in names {
-        match n {
+        match *n {
             "table1" => out.push_str(&render_table1()),
-            "table2" => out.push_str(&ookami_lulesh::table2::render_table2()),
+            "table2" => {
+                use ookami_lulesh::table2::{render_table2, table2};
+                out.push_str(&render_table2(&table2()));
+            }
             "table3" => out.push_str(&ookami_uarch::peak::render_table3()),
             other => out.push_str(&format!("unknown table: {other}\n")),
         }
@@ -174,11 +142,12 @@ pub fn bench_out(file: &str) -> String {
     format!("target/bench/{file}")
 }
 
-/// Write `report` to `path`, creating its directory; on failure print a
-/// diagnostic and exit 2.
-pub fn write_report(report: &BenchReport, path: &str) {
+/// Write one file a probe produces: create `path`'s directory, then run
+/// `write(path)` (e.g. `|p| report.write(p)`, which also validates a
+/// `BenchReport`). On failure print `error: write <path>: <e>` and exit 2.
+pub fn write_or_exit(path: &str, write: impl FnOnce(&str) -> std::io::Result<()>) {
     let dir = Path::new(path).parent().unwrap_or(Path::new(""));
-    if let Err(e) = std::fs::create_dir_all(dir).and_then(|()| report.write(path)) {
+    if let Err(e) = std::fs::create_dir_all(dir).and_then(|()| write(path)) {
         eprintln!("error: write {path}: {e}");
         std::process::exit(2);
     }
@@ -207,6 +176,17 @@ mod tests {
         for needle in ["-KSVE", "Vect(mt)", "Ookami", "57.6"] {
             assert!(t.contains(needle), "missing {needle}");
         }
+    }
+
+    #[test]
+    fn ids_resolve_and_unknown_ids_do_not() {
+        assert!(figure("table2").is_some(), "table2 is fig7's alias");
+        assert!(figure("bogus").is_none());
+        assert!(run_figures("bogus", false).contains("unknown figure: bogus"));
+        for t in ALL_TABLES {
+            assert!(!run_tables(t).contains("unknown table"), "{t}");
+        }
+        assert!(run_tables("bogus").contains("unknown table: bogus"));
     }
 
     #[test]

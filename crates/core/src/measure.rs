@@ -1,8 +1,9 @@
 //! Measurement records and report rendering.
 //!
-//! Every figure/table regenerator emits [`Measurement`] rows and renders
-//! them through [`Table`] (fixed-width text) or CSV, so EXPERIMENTS.md can
-//! diff paper values against produced values mechanically.
+//! Every figure/table regenerator emits [`Measurement`] rows once and
+//! renders those rows through [`render_pivot`] or [`Table`] (fixed-width
+//! text) or CSV, so EXPERIMENTS.md can diff paper values against produced
+//! values mechanically.
 
 use crate::stats::Stats;
 use serde::{Deserialize, Serialize};
@@ -86,6 +87,56 @@ pub fn to_csv(rows: &[Measurement]) -> String {
         s.push('\n');
     }
     s
+}
+
+/// Render `rows` as a workload × column text table: one line per workload
+/// and one column per toolchain (per thread count for efficiency rows),
+/// both in order of first appearance. `row_header` heads the workload
+/// column; values print with `decimals` places, `NaN` where a cell is
+/// missing.
+pub fn render_pivot(
+    rows: &[Measurement],
+    title: &str,
+    row_header: &str,
+    decimals: usize,
+) -> String {
+    let column = |r: &Measurement| {
+        if r.unit == "efficiency" {
+            format!("{}t", r.threads)
+        } else {
+            r.toolchain.clone()
+        }
+    };
+    let keyed: Vec<(&str, String, f64)> = rows
+        .iter()
+        .map(|r| (r.workload.as_str(), column(r), r.value))
+        .collect();
+    let mut works: Vec<&str> = Vec::new();
+    let mut cols: Vec<&str> = Vec::new();
+    for (w, c, _) in &keyed {
+        if !works.contains(w) {
+            works.push(w);
+        }
+        if !cols.contains(&c.as_str()) {
+            cols.push(c);
+        }
+    }
+    let header: Vec<&str> = std::iter::once(row_header)
+        .chain(cols.iter().copied())
+        .collect();
+    let mut t = Table::new(title, &header);
+    for w in works {
+        let mut cells = vec![w.to_string()];
+        for col in &cols {
+            let v = keyed
+                .iter()
+                .find(|(kw, kc, _)| *kw == w && kc == col)
+                .map_or(f64::NAN, |k| k.2);
+            cells.push(format!("{v:.decimals$}"));
+        }
+        t.row(&cells);
+    }
+    t.render()
 }
 
 /// A simple fixed-width text table builder for figure output.

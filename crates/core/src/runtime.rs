@@ -169,8 +169,8 @@ where
 
 /// The seed runtime's spawn-per-region `par_for`: `threads` fresh OS
 /// threads per call via `std::thread::scope`. Kept as the measured
-/// baseline for the pool's fork/join overhead probe (`forkjoin` bin,
-/// `fork_join` bench) and for differential tests.
+/// baseline for the pool's fork/join overhead probe (`forkjoin` bin)
+/// and for differential tests.
 pub fn spawn_par_for<F>(threads: usize, n: usize, f: F)
 where
     F: Fn(usize, usize, usize) + Sync,

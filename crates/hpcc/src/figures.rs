@@ -56,18 +56,19 @@ pub fn figure8() -> Vec<Measurement> {
         .collect()
 }
 
-pub fn render_figure8() -> String {
+/// Render [`figure8`]'s rows; the % of peak is evaluated here, from the
+/// noise-free model rate of each bar (text only).
+pub fn render_figure8(rows: &[Measurement]) -> String {
     let mut t = Table::new(
         "Fig. 8 — DGEMM per-core GFLOP/s (embarrassingly parallel), % of peak in parens",
         &["system", "library", "GF/s/core", "stddev", "% of peak"],
     );
-    for (i, (m, lib)) in fig8_points().into_iter().enumerate() {
-        let s = with_jitter(dgemm_gflops_per_core(lib, m), i as u64 + 1);
+    for (r, (m, lib)) in rows.iter().zip(fig8_points()) {
         t.row(&[
-            m.name.to_string(),
-            lib.label().to_string(),
-            format!("{:.1}", s.mean()),
-            format!("{:.2}", s.stddev()),
+            r.machine.clone(),
+            r.toolchain.clone(),
+            format!("{:.1}", r.value),
+            format!("{:.2}", r.stddev),
             format!("({:.0}%)", dgemm_percent_of_peak(lib, m)),
         ]);
     }
@@ -154,8 +155,8 @@ pub fn figure9() -> Vec<Measurement> {
     out
 }
 
-pub fn render_figure9() -> String {
-    let rows = figure9();
+/// Render [`figure9`]'s rows, one table per panel.
+pub fn render_figure9(rows: &[Measurement]) -> String {
     let mut out = String::new();
     for (panel, unit_fmt) in [("fig9A", 0usize), ("fig9B", 0), ("fig9C", 1), ("fig9D", 1)] {
         let mut t = Table::new(
@@ -220,7 +221,7 @@ mod tests {
                 "{panel} missing"
             );
         }
-        let txt = render_figure9();
+        let txt = render_figure9(&rows);
         assert!(txt.contains("Fig. 9B") && txt.contains("ARMPL"));
     }
 

@@ -4,7 +4,7 @@
 //! claims rest on ("32 GB of high-bandwidth memory (1 TB/s)", "256
 //! Gbyte/s" per CMG): the model's sustained-bandwidth numbers are exactly
 //! what a STREAM triad measures, and the native kernels here are what the
-//! criterion bench drives.
+//! `ookamistat` probe drives.
 
 use ookami_core::runtime::{par_for, SendPtr};
 use ookami_uarch::Machine;

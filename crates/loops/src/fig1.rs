@@ -2,7 +2,7 @@
 //! relative to the Intel compiler on Skylake.
 
 use crate::suite::LoopSuite;
-use ookami_core::measure::{Measurement, Table};
+use ookami_core::measure::{render_pivot, Measurement};
 use ookami_mem::gather::{analyze_array, MeanPattern};
 use ookami_toolchain::lower::{lower_loop, LoopKind};
 use ookami_toolchain::Compiler;
@@ -52,30 +52,27 @@ fn pattern_for_kind<'a>(
     }
 }
 
-/// One Fig. 1 data point: runtime on A64FX under `c`, relative to Intel on
-/// Skylake (the paper's y-axis).
-pub fn relative_runtime(kind: LoopKind, c: Compiler) -> f64 {
+/// All Fig. 1 rows: runtime on A64FX under each compiler, relative to
+/// Intel on Skylake (the paper's y-axis). Each machine's index patterns
+/// and each loop's Skylake time are computed once and shared by the
+/// loop's four cells.
+pub fn figure1() -> Vec<Measurement> {
     let a = machines::a64fx();
     let s = machines::skylake_6140();
     let (fa, sa) = patterns_for(a, 42);
     let (fs, ss) = patterns_for(s, 42);
-    let t_a = seconds_per_element(kind, c, a, pattern_for_kind(kind, &fa, &sa));
-    let t_s = seconds_per_element(kind, Compiler::Intel, s, pattern_for_kind(kind, &fs, &ss));
-    t_a / t_s
-}
-
-/// All Fig. 1 rows as measurements.
-pub fn figure1() -> Vec<Measurement> {
     let mut out = Vec::new();
     for kind in LoopKind::ALL {
+        let t_s = seconds_per_element(kind, Compiler::Intel, s, pattern_for_kind(kind, &fs, &ss));
         for c in Compiler::A64FX {
+            let t_a = seconds_per_element(kind, c, a, pattern_for_kind(kind, &fa, &sa));
             out.push(Measurement::new(
                 "fig1",
                 kind.label(),
                 "Ookami A64FX",
                 c.label(),
                 1,
-                relative_runtime(kind, c),
+                t_a / t_s,
                 "runtime_rel_skx",
             ));
         }
@@ -83,28 +80,28 @@ pub fn figure1() -> Vec<Measurement> {
     out
 }
 
-/// Fixed-width rendering of Fig. 1 (rows = loops, columns = compilers).
-pub fn render_figure1() -> String {
-    let mut t = Table::new(
+/// Fixed-width rendering of [`figure1`]'s rows (rows = loops, columns =
+/// compilers).
+pub fn render_figure1(rows: &[Measurement]) -> String {
+    render_pivot(
+        rows,
         "Fig. 1 — runtime on A64FX of simple vector loops, relative to Intel/Skylake",
-        &["loop", "fujitsu", "cray", "arm", "gcc"],
-    );
-    for kind in LoopKind::ALL {
-        let cells: Vec<String> = std::iter::once(kind.label().to_string())
-            .chain(
-                Compiler::A64FX
-                    .iter()
-                    .map(|&c| format!("{:.2}", relative_runtime(kind, c))),
-            )
-            .collect();
-        t.row(&cells);
-    }
-    t.render()
+        "loop",
+        2,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The Fig. 1 cell for `kind` under `c`.
+    fn rel(rows: &[Measurement], kind: LoopKind, c: Compiler) -> f64 {
+        rows.iter()
+            .find(|r| r.workload == kind.label() && r.toolchain == c.label())
+            .map(|r| r.value)
+            .expect("fig1 cell")
+    }
 
     #[test]
     fn fujitsu_hovers_near_two_for_streaming_kinds() {
@@ -112,23 +109,26 @@ mod tests {
         // of 2 expected from the ratio of the clock speeds, except for the
         // predicate operation that is 3-fold slower and the short gather
         // that is only circa 1.5-fold slower."
-        let simple = relative_runtime(LoopKind::Simple, Compiler::Fujitsu);
+        let rows = figure1();
+        let simple = rel(&rows, LoopKind::Simple, Compiler::Fujitsu);
         assert!(simple > 1.5 && simple < 2.7, "simple {simple}");
-        let gather = relative_runtime(LoopKind::Gather, Compiler::Fujitsu);
+        let gather = rel(&rows, LoopKind::Gather, Compiler::Fujitsu);
         assert!(gather > 1.6 && gather < 2.6, "gather {gather}");
     }
 
     #[test]
     fn predicate_is_the_outlier_high() {
-        let pred = relative_runtime(LoopKind::Predicate, Compiler::Fujitsu);
-        let simple = relative_runtime(LoopKind::Simple, Compiler::Fujitsu);
+        let rows = figure1();
+        let pred = rel(&rows, LoopKind::Predicate, Compiler::Fujitsu);
+        let simple = rel(&rows, LoopKind::Simple, Compiler::Fujitsu);
         assert!(pred > simple + 0.4, "pred {pred} vs simple {simple}");
     }
 
     #[test]
     fn short_gather_is_the_outlier_low() {
-        let sg = relative_runtime(LoopKind::ShortGather, Compiler::Fujitsu);
-        let g = relative_runtime(LoopKind::Gather, Compiler::Fujitsu);
+        let rows = figure1();
+        let sg = rel(&rows, LoopKind::ShortGather, Compiler::Fujitsu);
+        let g = rel(&rows, LoopKind::Gather, Compiler::Fujitsu);
         assert!(sg < g - 0.4, "short {sg} vs full {g}");
         assert!(sg > 0.9 && sg < 1.9, "short gather {sg}");
     }
@@ -137,10 +137,11 @@ mod tests {
     fn fujitsu_best_on_a64fx_for_every_loop() {
         // Paper: "the Fujitsu toolchain delivers the highest performance
         // for all loops".
+        let rows = figure1();
         for kind in LoopKind::ALL {
-            let fuj = relative_runtime(kind, Compiler::Fujitsu);
+            let fuj = rel(&rows, kind, Compiler::Fujitsu);
             for c in [Compiler::Cray, Compiler::Arm, Compiler::Gnu] {
-                let other = relative_runtime(kind, c);
+                let other = rel(&rows, kind, c);
                 assert!(
                     fuj <= other + 1e-9,
                     "{kind:?}: fujitsu {fuj} vs {c:?} {other}"
@@ -154,7 +155,7 @@ mod tests {
         let rows = figure1();
         assert_eq!(rows.len(), 24); // 6 loops × 4 compilers
         assert!(rows.iter().all(|r| r.value.is_finite() && r.value > 0.5));
-        let txt = render_figure1();
+        let txt = render_figure1(&rows);
         assert!(txt.contains("short gather"));
     }
 }

@@ -1,7 +1,7 @@
 //! Fig. 2 regenerator: runtime of the vectorized math-function loops on
 //! A64FX relative to the Intel compiler on Skylake.
 
-use ookami_core::measure::{Measurement, Table};
+use ookami_core::measure::{render_pivot, Measurement};
 use ookami_core::MathFunc;
 use ookami_toolchain::mathlib::math_cycles_per_element;
 use ookami_toolchain::Compiler;
@@ -44,23 +44,14 @@ pub fn figure2() -> Vec<Measurement> {
     out
 }
 
-/// Fixed-width rendering of Fig. 2.
-pub fn render_figure2() -> String {
-    let mut t = Table::new(
+/// Fixed-width rendering of [`figure2`]'s rows.
+pub fn render_figure2(rows: &[Measurement]) -> String {
+    render_pivot(
+        rows,
         "Fig. 2 — runtime on A64FX of vectorized math functions, relative to Intel/Skylake",
-        &["function", "fujitsu", "cray", "arm", "gcc"],
-    );
-    for f in FIG2_FUNCS {
-        let cells: Vec<String> = std::iter::once(f.label().to_string())
-            .chain(
-                Compiler::A64FX
-                    .iter()
-                    .map(|&c| format!("{:.2}", relative_runtime(f, c))),
-            )
-            .collect();
-        t.row(&cells);
-    }
-    t.render()
+        "function",
+        2,
+    )
 }
 
 #[cfg(test)]
@@ -130,6 +121,6 @@ mod tests {
         let rows = figure2();
         assert_eq!(rows.len(), 20); // 5 funcs × 4 compilers
         assert!(rows.iter().all(|r| r.value.is_finite() && r.value > 0.5));
-        assert!(render_figure2().contains("recip"));
+        assert!(render_figure2(&rows).contains("recip"));
     }
 }

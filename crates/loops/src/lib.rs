@@ -5,8 +5,8 @@
 //! crate provides:
 //!
 //! * [`suite`] — *native Rust* implementations of every loop (actually
-//!   executable and property-tested; also the payload for the criterion
-//!   micro-benchmarks in `ookami-bench`);
+//!   executable and property-tested; [`emulated`] checks the SVE runs
+//!   against them);
 //! * [`fig1`] — the Fig. 1 regenerator: relative runtime (A64FX toolchain
 //!   vs. Intel-on-Skylake) of the simple/predicate/gather/scatter loops,
 //!   from the toolchain lowering + machine cost model;

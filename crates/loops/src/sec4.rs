@@ -99,13 +99,14 @@ pub fn toolchain_ladder() -> Vec<Measurement> {
     out
 }
 
-/// Render the Section IV summary.
-pub fn render_sec4() -> String {
+/// Render the Section IV summary: [`toolchain_ladder`]'s rows, then the
+/// loop-structure study of our FEXPA kernel (text only, evaluated here).
+pub fn render_sec4(ladder: &[Measurement]) -> String {
     let mut t = Table::new(
         "Section IV — exp cycles per element (paper: GNU 32, ARM 6, Cray 4.2, Fujitsu 2.1, Intel/SKX 1.6)",
         &["implementation", "cycles/elem"],
     );
-    for m in toolchain_ladder() {
+    for m in ladder {
         t.row(&[
             format!("{} ({})", m.toolchain, m.machine),
             format!("{:.2}", m.value),
@@ -200,7 +201,7 @@ mod tests {
 
     #[test]
     fn render_mentions_paper_values() {
-        let s = render_sec4();
+        let s = render_sec4(&toolchain_ladder());
         assert!(s.contains("FEXPA"));
         assert!(s.contains("VLA"));
     }

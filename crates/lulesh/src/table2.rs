@@ -81,19 +81,20 @@ pub fn table2() -> Vec<Measurement> {
     out
 }
 
-/// Render Table II in the paper's layout.
-pub fn render_table2() -> String {
+/// Render [`table2`]'s rows in the paper's layout: one line per compiler,
+/// whose four rows come in column order.
+pub fn render_table2(rows: &[Measurement]) -> String {
     let mut t = Table::new(
         "Table II / Fig. 7 — LULESH timings (paper: Base(st) ≈ 2.03–2.06 on A64FX vs 0.395 Intel; Vect(st) 1.31–1.58 vs 0.260)",
         &["compiler", "Base(st)", "Base(mt)", "Vect(st)", "Vect(mt)"],
     );
-    for c in TOOLCHAINS {
+    for cells in rows.chunks(4) {
         t.row(&[
-            c.label().to_string(),
-            format!("{:.3}", time_s(c, Variant::Base, false)),
-            format!("{:.4}", time_s(c, Variant::Base, true)),
-            format!("{:.3}", time_s(c, Variant::Vect, false)),
-            format!("{:.4}", time_s(c, Variant::Vect, true)),
+            cells[0].toolchain.clone(),
+            format!("{:.3}", cells[0].value),
+            format!("{:.4}", cells[1].value),
+            format!("{:.3}", cells[2].value),
+            format!("{:.4}", cells[3].value),
         ]);
     }
     t.render()
@@ -172,7 +173,7 @@ mod tests {
     fn table_renders_all_cells() {
         let rows = table2();
         assert_eq!(rows.len(), 20); // 5 compilers × 2 variants × 2 modes
-        let txt = render_table2();
+        let txt = render_table2(&rows);
         assert!(txt.contains("fujitsu") && txt.contains("Vect(mt)"));
     }
 }

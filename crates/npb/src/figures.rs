@@ -2,7 +2,7 @@
 
 use crate::profiles::{profile, Benchmark};
 use crate::Class;
-use ookami_core::measure::{Measurement, Table};
+use ookami_core::measure::Measurement;
 use ookami_toolchain::app_model::{predict_default, predict_seconds};
 use ookami_toolchain::{Compiler, OmpModel};
 use ookami_uarch::machines;
@@ -134,51 +134,6 @@ fn scaling_figure(
         }
     }
     out
-}
-
-/// Render one of the figures as a text table.
-pub fn render(rows: &[Measurement], title: &str, value_fmt: usize) -> String {
-    // group: workload rows, toolchain(or threads) columns
-    let mut cols: Vec<String> = Vec::new();
-    for r in rows {
-        let key = if r.unit == "efficiency" {
-            format!("{}t", r.threads)
-        } else {
-            r.toolchain.clone()
-        };
-        if !cols.contains(&key) {
-            cols.push(key);
-        }
-    }
-    let mut works: Vec<String> = Vec::new();
-    for r in rows {
-        if !works.contains(&r.workload) {
-            works.push(r.workload.clone());
-        }
-    }
-    let header: Vec<&str> = std::iter::once("app")
-        .chain(cols.iter().map(std::string::String::as_str))
-        .collect();
-    let mut t = Table::new(title, &header);
-    for w in &works {
-        let mut cells = vec![w.clone()];
-        for col in &cols {
-            let v = rows
-                .iter()
-                .find(|r| {
-                    &r.workload == w
-                        && if r.unit == "efficiency" {
-                            format!("{}t", r.threads) == *col
-                        } else {
-                            &r.toolchain == col
-                        }
-                })
-                .map_or(f64::NAN, |r| r.value);
-            cells.push(format!("{v:.value_fmt$}"));
-        }
-        t.row(&cells);
-    }
-    t.render()
 }
 
 #[cfg(test)]
@@ -332,9 +287,10 @@ mod tests {
 
     #[test]
     fn renders() {
-        let s = render(&figure3(), "Fig 3", 1);
+        use ookami_core::measure::render_pivot;
+        let s = render_pivot(&figure3(), "Fig 3", "app", 1);
         assert!(s.contains("BT") && s.contains("gcc"));
-        let s5 = render(&figure5(), "Fig 5", 2);
+        let s5 = render_pivot(&figure5(), "Fig 5", "app", 2);
         assert!(s5.contains("48t"));
     }
 }

@@ -1,11 +1,13 @@
 //! Memoized cycle analysis.
 //!
-//! Figure and table regenerators re-record and re-analyze the *same* kernel
-//! bodies many times (`render_sec4` alone costs nine identical exp kernels;
-//! Fig. 1 re-lowers every loop per compiler per assertion). The analysis is
-//! pure — a function of the instruction stream and the machine — so its
-//! results are cached process-wide, keyed by a structural digest of the
-//! [`KernelLoop`] plus the machine's name.
+//! Each figure is evaluated once per call, but the same kernel bodies
+//! still recur within one process: perfbench's model operations regenerate
+//! every figure on every operation, a test binary evaluates the same
+//! figures in many tests, Section IV's ladder repeats Fig. 2's exp kernels,
+//! and Fig. 2 prices each function's Skylake kernel once per A64FX
+//! compiler. The analysis is pure — a function of the instruction stream
+//! and the machine — so its results are cached process-wide, keyed by a
+//! structural digest of the [`KernelLoop`] plus the machine's name.
 //!
 //! The machine name is a safe key because every [`Machine`] handed to
 //! [`analyze_cached`] in this codebase is one of the `'static` descriptors

@@ -7,7 +7,7 @@
 //! cycles/element of each toolchain's algorithm on the A64FX model, and
 //! the VLA / fixed-width / unrolled loop-structure comparison.
 
-use ookami::loops::sec4::{our_exp_cycles, render_sec4, LoopStructure};
+use ookami::loops::sec4::{our_exp_cycles, render_sec4, toolchain_ladder, LoopStructure};
 use ookami::sve::fexpa::{fexpa_input_for, fexpa_lane};
 use ookami::vecmath::exp::{exp_slice, ExpVariant, PolyForm};
 use ookami::vecmath::ulp::{measure, sample_range};
@@ -44,7 +44,7 @@ fn main() {
     }
     println!("  (paper: their kernel ≈ 6 ulp; 1–4 ulp \"common in vectorized libraries\")");
 
-    println!("\n{}", render_sec4());
+    println!("\n{}", render_sec4(&toolchain_ladder()));
 
     println!("== Estrin vs Horner on the A64FX model (cycles/element) ==");
     for st in LoopStructure::ALL {

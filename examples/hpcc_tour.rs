@@ -5,7 +5,7 @@
 
 use ookami::hpcc::dgemm::{dgemm_blocked, dgemm_micro, dgemm_naive, gemm_flops};
 use ookami::hpcc::fft::Fft;
-use ookami::hpcc::figures::{render_figure8, render_figure9};
+use ookami::hpcc::figures::{figure8, figure9, render_figure8, render_figure9};
 use ookami::hpcc::hpl::lu_factor_solve;
 use std::time::Instant;
 
@@ -76,6 +76,6 @@ fn main() {
         fft.flops() / dt / 1e9
     );
 
-    println!("\n{}", render_figure8());
-    println!("{}", render_figure9());
+    println!("\n{}", render_figure8(&figure8()));
+    println!("{}", render_figure9(&figure9()));
 }

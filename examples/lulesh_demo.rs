@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --release --example lulesh_demo`
 
-use ookami::lulesh::table2::render_table2;
+use ookami::lulesh::table2::{render_table2, table2};
 use ookami::lulesh::{run_variant, Hydro, Variant};
 use std::time::Instant;
 
@@ -40,5 +40,5 @@ fn main() {
         );
     }
 
-    println!("\n{}", render_table2());
+    println!("\n{}", render_table2(&table2()));
 }

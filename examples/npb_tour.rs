@@ -3,7 +3,8 @@
 //!
 //! Run with: `cargo run --release --example npb_tour`
 
-use ookami::npb::figures::{figure3, figure4, figure5, render};
+use ookami::core::measure::render_pivot;
+use ookami::npb::figures::{figure3, figure4, figure5};
 use ookami::npb::{bt::Bt, cg, ep, lu::Lu, sp::Sp, ua::Ua, Class};
 use std::time::Instant;
 
@@ -73,16 +74,11 @@ fn main() {
     );
 
     println!("== Class-C model figures ==\n");
-    println!(
-        "{}",
-        render(&figure3(), "Fig. 3 — single-core runtime (s), class C", 0)
-    );
-    println!(
-        "{}",
-        render(&figure4(), "Fig. 4 — all-cores runtime (s), class C", 1)
-    );
-    println!(
-        "{}",
-        render(&figure5(), "Fig. 5 — parallel efficiency on A64FX (GCC)", 2)
-    );
+    for (rows, title, decimals) in [
+        (figure3(), "Fig. 3 — single-core runtime (s), class C", 0),
+        (figure4(), "Fig. 4 — all-cores runtime (s), class C", 1),
+        (figure5(), "Fig. 5 — parallel efficiency on A64FX (GCC)", 2),
+    ] {
+        println!("{}", render_pivot(&rows, title, "app", decimals));
+    }
 }

@@ -33,14 +33,13 @@ fn main() {
     );
 
     // Fig. 1: loop-vectorization suite, relative to Intel on Skylake.
-    println!("{}", fig1::render_figure1());
+    println!("{}", fig1::render_figure1(&fig1::figure1()));
 
     // Fig. 2: the math-library story (the 20×/30× cliffs).
-    println!("{}", fig2::render_figure2());
+    println!("{}", fig2::render_figure2(&fig2::figure2()));
 
     // Section IV teaser: the FEXPA exp ladder.
-    println!("{}", sec4::render_sec4());
+    println!("{}", sec4::render_sec4(&sec4::toolchain_ladder()));
 
-    println!("Next: `cargo run -p ookami-bench --bin figures -- all` for every figure,");
-    println!("      `cargo bench -p ookami-bench` for the native micro-benchmarks.");
+    println!("Next: `cargo run -p ookami-bench --bin figures -- all` for every figure.");
 }

@@ -24,13 +24,16 @@ echo "== per-crate test suites, both obs modes (timeline/schedule proptests live
 cargo test -q --workspace
 cargo test -q --workspace --features obs
 
-echo "== criterion benches compile"
-cargo bench --no-run
-
 # Probes write their reports to target/bench/, never over the committed
 # baselines at the repo root; start from an empty directory so benchdiff
 # judges only what this run produced.
 rm -rf target/bench
+
+echo "== figure and accuracy reports (each in its committed baseline's obs mode)"
+# Regenerates BENCH_figures.json (fig1, without obs) and BENCH_accuracy.json
+# (with obs) so benchdiff below judges them against the committed files.
+cargo run -p ookami-bench --bin figures --release -- fig1 >/dev/null
+cargo run -p ookami-bench --features obs --bin accuracy --release >/dev/null
 
 echo "== trace-replay + compiled-trace identity smoke (svereplay --smoke, both obs modes)"
 # The probe drives interpreter, replayer, and the compiled native path and

@@ -2,8 +2,10 @@
 //! through the public `ookami` facade (models + emulator + native code
 //! working together).
 
+use ookami::core::measure::Measurement;
 use ookami::core::MathFunc;
 use ookami::loops::{fig1, fig2};
+use ookami::toolchain::lower::LoopKind;
 use ookami::toolchain::mathlib::math_cycles_per_element;
 use ookami::toolchain::Compiler;
 use ookami::uarch::machines;
@@ -34,16 +36,24 @@ fn gnu_vectorization_holes() {
     }
 }
 
+/// The Fig. 1 cell for `kind` under `c`, read from the figure's rows.
+fn fig1_cell(rows: &[Measurement], kind: LoopKind, c: Compiler) -> f64 {
+    rows.iter()
+        .find(|r| r.workload == kind.label() && r.toolchain == c.label())
+        .map(|r| r.value)
+        .expect("fig1 cell")
+}
+
 /// §III: "the Fujitsu toolchain delivers the highest performance for all
 /// loops, followed by Cray, and ARM/GNU."
 #[test]
 fn fujitsu_leads_every_loop() {
-    use ookami::toolchain::lower::LoopKind;
+    let rows = fig1::figure1();
     for kind in LoopKind::ALL {
-        let fuj = fig1::relative_runtime(kind, Compiler::Fujitsu);
+        let fuj = fig1_cell(&rows, kind, Compiler::Fujitsu);
         for c in [Compiler::Cray, Compiler::Arm, Compiler::Gnu] {
             assert!(
-                fig1::relative_runtime(kind, c) >= fuj - 1e-9,
+                fig1_cell(&rows, kind, c) >= fuj - 1e-9,
                 "{kind:?}: {c:?} beat fujitsu"
             );
         }
@@ -55,10 +65,10 @@ fn fujitsu_leads_every_loop() {
 /// and the short gather that is only circa 1.5-fold slower."
 #[test]
 fn fig1_shape() {
-    use ookami::toolchain::lower::LoopKind;
-    let simple = fig1::relative_runtime(LoopKind::Simple, Compiler::Fujitsu);
-    let pred = fig1::relative_runtime(LoopKind::Predicate, Compiler::Fujitsu);
-    let short_g = fig1::relative_runtime(LoopKind::ShortGather, Compiler::Fujitsu);
+    let rows = fig1::figure1();
+    let simple = fig1_cell(&rows, LoopKind::Simple, Compiler::Fujitsu);
+    let pred = fig1_cell(&rows, LoopKind::Predicate, Compiler::Fujitsu);
+    let short_g = fig1_cell(&rows, LoopKind::ShortGather, Compiler::Fujitsu);
     assert!((1.5..2.7).contains(&simple), "simple {simple}");
     assert!(pred > simple && pred > 2.2, "predicate {pred}");
     assert!(
