@@ -3,24 +3,25 @@
 //! schema (max/mean ulp per implementation, plus the obs counters the
 //! emulated sweeps produced when built with `--features obs`).
 
-use ookami_core::obs;
+use ookami_bench::probe::{Cli, Probe};
 
 fn main() {
-    obs::reset();
-    let obs_before = obs::snapshot();
+    Cli {
+        usage: "usage: accuracy — math-library accuracy study, also written as BENCH_accuracy.json",
+        ..Cli::default()
+    }
+    .parse();
+    let mut probe = Probe::start("accuracy", "full");
     let rows = ookami_bench::accuracy::accuracy_study();
     print!("{}", ookami_bench::accuracy::render_rows(&rows));
 
-    let mut report = obs::BenchReport::new("accuracy", "full");
     for r in &rows {
         let key = format!("{} {}", r.function, r.implementation);
-        report.metric(&format!("max_ulp {key}"), r.acc.max_ulp as f64);
-        report.metric(&format!("mean_ulp {key}"), r.acc.mean_ulp);
+        probe
+            .report
+            .metric(&format!("max_ulp {key}"), r.acc.max_ulp as f64)
+            .metric(&format!("mean_ulp {key}"), r.acc.mean_ulp);
     }
-    report
-        .metric("implementations", rows.len() as f64)
-        .attach_obs(&obs::snapshot().since(&obs_before));
-    let path = ookami_bench::bench_out("BENCH_accuracy.json");
-    ookami_bench::write_or_exit(&path, |p| report.write(p));
-    println!("wrote {path}");
+    probe.report.metric("implementations", rows.len() as f64);
+    probe.finish(&ookami_bench::bench_out("BENCH_accuracy.json"));
 }

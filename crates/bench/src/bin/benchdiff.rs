@@ -3,7 +3,7 @@
 //! nonzero when a gated result regressed.
 //!
 //! ```text
-//! benchdiff --baseline <dir> --current <dir> [--tol 0.5] [--out target/bench/BENCHDIFF.json]
+//! benchdiff --baseline <dir> --current <dir> [--out target/bench/BENCHDIFF.json]
 //! ```
 //!
 //! Both sides are schema-validated (`ookami-bench-v1`) before any
@@ -17,21 +17,10 @@
 //!    they carry the ECM model's bound attributions (`bandwidth_bound` vs
 //!    `core_bound`), which are deterministic claims about the machine
 //!    model, so any flip is a model change.
-//! 2. **Absolute floors** (full-mode current files only): `speedup ≥ 5`
-//!    (trace replay vs interpreter) and `ratio_at_8 ≥ 5` (pool vs
-//!    spawn-per-region) — the repo's standing perf acceptance bars — plus
-//!    the lower irregular-family bars `spmv_replay_speedup ≥ 1.2` and
-//!    `stream_replay_speedup ≥ 0.4`; when
-//!    the current run also has obs, `compiled_speedup ≥ 5` (compiled
-//!    closures vs the accounting-carrying replayer). Smoke runs shrink
-//!    the problem until fixed costs dominate, which is exactly why the
-//!    probes themselves only enforce these bars in full mode.
-//!    Parallel-scaling floors (`replay_par_speedup` / `compiled_par_speedup`
-//!    ≥ 3, `cachesim_par_speedup` ≥ 2) are additionally
-//!    **capability-gated** on the current file's `host_cores` metric: a
-//!    probe run on a box with fewer than 4 cores records ratios near 1.0
-//!    by construction (the pool clamps its worker count), so the floors
-//!    only apply where the host can actually scale.
+//! 2. **Bounds** (full-mode current files only): the current file is
+//!    judged against the probe harness's one table of floors and ceilings
+//!    ([`ookami_bench::probe::BOUNDS`]) by the same function the probe ran
+//!    before writing it, so a probe that passed its own gate passes here.
 //! 3. **Matched-mode gates** (only when `mode` and `obs_enabled` agree, so
 //!    smoke CI runs are never judged against full-mode baselines):
 //!    `max_ulp*` metrics may not increase (accuracy is deterministic), the
@@ -40,41 +29,36 @@
 //!    and time-like metrics are pooled into a noise-aware verdict: the
 //!    relative deltas of all time metrics in a file feed
 //!    [`ookami_core::Stats`], and only a *systematic* slowdown (mean delta
-//!    above `--tol` and above one standard deviation of the deltas) fails,
+//!    above [`TOL`] and above one standard deviation of the deltas) fails,
 //!    so one noisy metric on a loaded CI box cannot trip the gate.
 //!
 //! `--inject-regression` degrades the current set in memory (times ×10,
-//! rates ÷10, correctness flags flipped) to prove the gate trips; CI runs
-//! it as a self-test.
+//! rates ÷10, every bounded metric pushed 10× past its bound's side,
+//! correctness flags flipped) to prove the gate trips; CI runs it as a
+//! self-test.
 //! Exit codes: 0 pass, 1 regression, 2 usage/schema error.
 
-use ookami_core::obs::{self, Json};
+use ookami_bench::probe::{self, Cli, Direction, BOUNDS};
+use ookami_core::obs::{self, Counter, Json, IDENTITY_COUNTERS};
 use ookami_core::Stats;
 use std::collections::BTreeMap;
 
 /// Counters whose values are deterministic functions of the executed
 /// kernels (execution-strategy- and timing-independent), gated for exact
-/// equality when modes match. Scheduling/timing counters (barrier waits,
-/// guided chunk splits, forked-vs-inline region counts) are excluded: they
+/// equality when modes match: the executor-identity set plus bytes and
+/// model FLOPs. Scheduling/timing counters (barrier waits, guided chunk
+/// splits, forked-vs-inline region counts) are excluded: they
 /// legitimately vary with machine load and core count.
-const EXACT_COUNTERS: [&str; 16] = [
-    "port_fla",
-    "port_flb",
-    "port_pr",
-    "port_exa",
-    "port_exb",
-    "port_eaga",
-    "port_eagb",
-    "port_br",
-    "sve_instrs",
-    "sve_lanes_active",
-    "bytes_loaded",
-    "bytes_stored",
-    "gather_elems",
-    "scatter_elems",
-    "fexpa_issues",
-    "model_flops",
-];
+fn exact_counters() -> impl Iterator<Item = &'static str> {
+    IDENTITY_COUNTERS
+        .into_iter()
+        .chain([
+            Counter::BytesLoaded,
+            Counter::BytesStored,
+            Counter::FlopsModel,
+        ])
+        .map(Counter::name)
+}
 
 /// Flags that encode correctness invariants: baseline `"true"` must hold.
 const GATED_FLAGS: [&str; 3] = ["bit_identical", "instr_streams_identical", "gate"];
@@ -85,78 +69,12 @@ const GATED_FLAGS: [&str; 3] = ["bit_identical", "instr_streams_identical", "gat
 /// about the machine model, so a flip is a model change, never noise).
 const PINNED_FLAG_PREFIX: &str = "ecm_";
 
-/// `(metric, floor)` pairs gated whenever the current file is a full run.
-/// The replay-over-interpreter floors for the irregular-memory families
-/// are deliberately lower than the dense-loop `speedup` bar: SpMV replay
-/// rebinds three gather streams per block, and STREAM's one-op body is
-/// the replayer's worst case — with obs on, per-block counter accounting
-/// outweighs the single fused op and the interpreter wins (~0.5x), so
-/// that floor is a catastrophic-slowdown guard only.
-const ABSOLUTE_FLOORS: [(&str, f64); 4] = [
-    ("speedup", 5.0),
-    ("ratio_at_8", 5.0),
-    ("spmv_replay_speedup", 1.2),
-    ("stream_replay_speedup", 0.4),
-];
-
-/// `(metric, floor)` pairs additionally gated on full runs **with obs**:
-/// the compiled-vs-replay bar is defined against the replayer carrying its
-/// per-block accounting — without obs both sides shed different amounts of
-/// bookkeeping and the ratio measures something else (the `svereplay`
-/// probe enforces the same split).
-const ABSOLUTE_FLOORS_OBS: [(&str, f64); 1] = [("compiled_speedup", 5.0)];
-
-/// `(metric, ceiling)` pairs gated on full runs **with obs**, tripping
-/// when the value rises *above* the bar: `prof_overhead_ratio` is the
-/// `ookamiprof` probe's profiled-vs-bare wall-time ratio for the same
-/// compiled workload, so a blowout means the region/timeline/histogram
-/// path stopped being cheap — the observability layer became the
-/// workload. The bar is deliberately loose (5×) because the probe's
-/// per-rep work shrinks in smoke mode; only full runs are gated.
-const ABSOLUTE_CEILINGS_OBS: [(&str, f64); 1] = [("prof_overhead_ratio", 5.0)];
+/// Systematic-slowdown tolerance of the matched-mode time gate: the mean
+/// relative delta of a file's time metrics may reach +50%.
+const TOL: f64 = 0.5;
 
 /// How many counter deltas `--explain` prints per regressed file.
 const EXPLAIN_TOP_N: usize = 5;
-
-/// `(metric, floor, needs_obs)` triples gated on full runs whose
-/// **current** file reports `host_cores ≥ PAR_FLOOR_MIN_CORES`: parallel
-/// speedups are only meaningful where the pool has real workers. The two
-/// trace-engine floors carry the same obs caveat as `compiled_speedup`
-/// (the bars are calibrated against the accounting-carrying serial
-/// paths); the cache-sim floor is obs-independent (the simulator does no
-/// per-lane accounting).
-const PAR_FLOORS: [(&str, f64, bool); 3] = [
-    ("replay_par_speedup", 3.0, true),
-    ("compiled_par_speedup", 3.0, true),
-    ("cachesim_par_speedup", 2.0, false),
-];
-
-/// Minimum `host_cores` for the parallel floors to apply.
-const PAR_FLOOR_MIN_CORES: f64 = 4.0;
-
-fn usage(code: i32) -> ! {
-    println!(
-        "benchdiff — compare current BENCH_*.json files against committed baselines\n\
-         \n\
-         usage: benchdiff --baseline <dir> --current <dir> [options]\n\
-         \n\
-         options:\n\
-           --tol <x>            systematic-slowdown tolerance for time metrics\n\
-                                when modes match (relative, default 0.5)\n\
-           --out <path>         write the machine-readable verdict JSON here\n\
-                                (default target/bench/BENCHDIFF.json)\n\
-           --inject-regression  degrade the current set in memory (times x10,\n\
-                                rates /10, overhead x10, counters x2, flags\n\
-                                flipped) — self-test that the gate trips\n\
-           --explain            when a file regresses, print its top counter\n\
-                                deltas vs baseline (largest relative change\n\
-                                first) to point at the behavioral cause\n\
-           --help               this text\n\
-         \n\
-         exit: 0 pass · 1 regression · 2 usage or schema error"
-    );
-    std::process::exit(code)
-}
 
 fn num_metrics(doc: &Json) -> BTreeMap<String, f64> {
     let mut out = BTreeMap::new();
@@ -218,25 +136,22 @@ fn is_rate_metric(name: &str) -> bool {
 }
 
 /// Degrade a current-side document in memory: every time metric ×10,
-/// every rate and headline-ratio metric ÷10, the profiling-overhead
-/// ceiling metric ×10, every deterministic model counter ×2, and every
-/// gated correctness flag flipped to false. The flag flip is what keeps
-/// the self-test meaningful even for a mode-mismatched pair (smoke
-/// current vs full baseline), where the metric gates are skipped by
-/// design; the counter doubling gives `--explain` real deltas to rank.
+/// every rate ÷10, every metric in the bounds table pushed 10× toward
+/// the wrong side of its bound (floors ÷10, ceilings ×10), every
+/// deterministic model counter ×2, and every gated correctness flag
+/// flipped to false. The flag flip is what keeps the self-test meaningful
+/// even for a mode-mismatched pair (smoke current vs full baseline),
+/// where the metric gates are skipped by design; the counter doubling
+/// gives `--explain` real deltas to rank.
 fn inject_regression(doc: &mut Json) {
     if let Json::Obj(root) = doc {
         if let Some(Json::Obj(metrics)) = root.get_mut("metrics") {
             for (k, v) in metrics.iter_mut() {
                 if let Json::Num(n) = v {
-                    if is_time_metric(k) || k == "prof_overhead_ratio" {
+                    let bound = BOUNDS.iter().find(|b| b.metric == k).map(|b| b.direction);
+                    if is_time_metric(k) || bound == Some(Direction::Ceiling) {
                         *n *= 10.0;
-                    } else if is_rate_metric(k)
-                        || k == "speedup"
-                        || k == "ratio_at_8"
-                        || k.ends_with("_par_speedup")
-                        || k.ends_with("_replay_speedup")
-                    {
+                    } else if is_rate_metric(k) || bound == Some(Direction::Floor) {
                         *n /= 10.0;
                     }
                 }
@@ -244,7 +159,7 @@ fn inject_regression(doc: &mut Json) {
         }
         if let Some(Json::Obj(cs)) = root.get_mut("counters") {
             for (k, v) in cs.iter_mut() {
-                if EXACT_COUNTERS.contains(&k.as_str()) {
+                if exact_counters().any(|c| c == k) {
                     if let Json::Num(n) = v {
                         *n *= 2.0;
                     }
@@ -300,15 +215,15 @@ struct FileVerdict {
     compared: bool,
 }
 
-fn diff_file(name: &str, base: &Json, cur: &Json, tol: f64) -> FileVerdict {
-    let mut v = diff_gates(name, base, cur, tol);
+fn diff_file(name: &str, base: &Json, cur: &Json) -> FileVerdict {
+    let mut v = diff_gates(name, base, cur);
     if !v.regressions.is_empty() {
         v.explain = rank_counter_deltas(base, cur);
     }
     v
 }
 
-fn diff_gates(name: &str, base: &Json, cur: &Json, tol: f64) -> FileVerdict {
+fn diff_gates(name: &str, base: &Json, cur: &Json) -> FileVerdict {
     let mut v = FileVerdict {
         name: name.to_string(),
         regressions: Vec::new(),
@@ -344,61 +259,11 @@ fn diff_gates(name: &str, base: &Json, cur: &Json, tol: f64) -> FileVerdict {
         }
     }
 
-    // 2. absolute floors — standing perf bars; only full runs are sized
-    // to meet them (smoke problems are fixed-cost-dominated by design).
-    if str_field(cur, "mode") == "full" {
-        let obs_floors = if matches!(cur.get("obs_enabled"), Some(Json::Bool(true))) {
-            &ABSOLUTE_FLOORS_OBS[..]
-        } else {
-            &[]
-        };
-        for &(metric, floor) in ABSOLUTE_FLOORS.iter().chain(obs_floors) {
-            if let Some(&val) = cm.get(metric) {
-                if val < floor {
-                    v.regressions.push(format!(
-                        "metric `{metric}`: {val:.3} below floor {floor:.1}"
-                    ));
-                }
-            }
-        }
-        // Ceilings: overhead ratios may not blow out. Same obs caveat as
-        // the obs floors — without obs the profiled side sheds the very
-        // instrumentation the ratio is supposed to price.
-        if matches!(cur.get("obs_enabled"), Some(Json::Bool(true))) {
-            for &(metric, ceiling) in &ABSOLUTE_CEILINGS_OBS {
-                if let Some(&val) = cm.get(metric) {
-                    if val > ceiling {
-                        v.regressions.push(format!(
-                            "metric `{metric}`: {val:.3} above ceiling {ceiling:.1} \
-                             (profiling overhead blowout)"
-                        ));
-                    }
-                }
-            }
-        }
-        // Parallel floors: only where the current run's host can scale.
-        let cores = cm.get("host_cores").copied().unwrap_or(0.0);
-        let obs_on_cur = matches!(cur.get("obs_enabled"), Some(Json::Bool(true)));
-        if cores >= PAR_FLOOR_MIN_CORES {
-            for &(metric, floor, needs_obs) in &PAR_FLOORS {
-                if needs_obs && !obs_on_cur {
-                    continue;
-                }
-                if let Some(&val) = cm.get(metric) {
-                    if val < floor {
-                        v.regressions.push(format!(
-                            "metric `{metric}`: {val:.3} below parallel floor {floor:.1} \
-                             ({cores:.0}-core host)"
-                        ));
-                    }
-                }
-            }
-        } else if PAR_FLOORS.iter().any(|&(m, _, _)| cm.contains_key(m)) {
-            v.notes.push(format!(
-                "parallel floors skipped: host_cores {cores:.0} < {PAR_FLOOR_MIN_CORES:.0}"
-            ));
-        }
-    }
+    // 2. bounds — the probe harness's table, judged exactly as the probe
+    // judged itself before writing the file.
+    let bounds = probe::judge(cur);
+    v.regressions.extend(bounds.violations);
+    v.notes.extend(bounds.notes);
 
     // 3. matched-mode gates.
     let modes_match = str_field(base, "mode") == str_field(cur, "mode")
@@ -429,7 +294,7 @@ fn diff_gates(name: &str, base: &Json, cur: &Json, tol: f64) -> FileVerdict {
     if obs_on {
         let bc = counters(base);
         let cc = counters(cur);
-        for key in EXACT_COUNTERS {
+        for key in exact_counters() {
             match (bc.get(key), cc.get(key)) {
                 (Some(b), Some(c)) if b != c => {
                     v.regressions
@@ -461,14 +326,14 @@ fn diff_gates(name: &str, base: &Json, cur: &Json, tol: f64) -> FileVerdict {
     if !deltas.is_empty() {
         let mean = deltas.mean();
         let sd = deltas.stddev();
-        if mean > tol && mean > sd {
+        if mean > TOL && mean > sd {
             v.regressions.push(format!(
                 "time metrics systematically slower: mean +{:.0}% over {} metric(s) \
                  (σ {:.0}%, tol {:.0}%)",
                 mean * 100.0,
                 deltas.len(),
                 sd * 100.0,
-                tol * 100.0
+                TOL * 100.0
             ));
         } else {
             v.notes.push(format!(
@@ -490,47 +355,41 @@ fn load_validated(path: &std::path::Path) -> Result<Json, String> {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut baseline_dir: Option<String> = None;
-    let mut current_dir: Option<String> = None;
-    let mut tol = 0.5f64;
-    let mut out_path = ookami_bench::bench_out("BENCHDIFF.json");
-    let mut inject = false;
-    let mut explain = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--baseline" => baseline_dir = it.next().cloned(),
-            "--current" => current_dir = it.next().cloned(),
-            "--tol" => {
-                tol = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("error: --tol needs a number");
-                    std::process::exit(2);
-                });
-            }
-            "--out" => {
-                out_path = it.next().cloned().unwrap_or_else(|| {
-                    eprintln!("error: --out needs a path");
-                    std::process::exit(2);
-                });
-            }
-            "--inject-regression" => inject = true,
-            "--explain" => explain = true,
-            "--help" | "-h" => usage(0),
-            other => {
-                eprintln!("error: unknown argument `{other}` (try --help)");
-                std::process::exit(2);
-            }
-        }
+    let args = Cli {
+        usage: "benchdiff — compare current BENCH_*.json files against committed baselines\n\
+                \n\
+                usage: benchdiff --baseline <dir> --current <dir> [options]\n\
+                \n\
+                options:\n\
+                \x20 --out <path>         write the machine-readable verdict JSON here\n\
+                \x20                      (default target/bench/BENCHDIFF.json)\n\
+                \x20 --inject-regression  degrade the current set in memory (times x10,\n\
+                \x20                      rates /10, bounded metrics x10 past their bound,\n\
+                \x20                      counters x2, flags flipped) — self-test that the\n\
+                \x20                      gate trips\n\
+                \x20 --explain            when a file regresses, print its top counter\n\
+                \x20                      deltas vs baseline (largest relative change\n\
+                \x20                      first) to point at the behavioral cause\n\
+                \n\
+                exit: 0 pass · 1 regression · 2 usage or schema error",
+        switches: &["--inject-regression", "--explain"],
+        valued: &["--baseline", "--current", "--out"],
+        ..Cli::default()
     }
-    let (Some(baseline_dir), Some(current_dir)) = (baseline_dir, current_dir) else {
-        eprintln!("error: --baseline and --current are required (try --help)");
-        std::process::exit(2);
+    .parse();
+    let default_out = ookami_bench::bench_out("BENCHDIFF.json");
+    let out_path = args.value("--out").unwrap_or(&default_out);
+    let inject = args.has("--inject-regression");
+    let explain = args.has("--explain");
+    let (Some(baseline_dir), Some(current_dir)) =
+        (args.value("--baseline"), args.value("--current"))
+    else {
+        probe::usage_error("--baseline and --current are required");
     };
 
     // Pair by filename over the baseline set: the committed baselines
     // define what is gated; extra current files are ignored.
-    let mut names: Vec<String> = match std::fs::read_dir(&baseline_dir) {
+    let mut names: Vec<String> = match std::fs::read_dir(baseline_dir) {
         Ok(rd) => rd
             .filter_map(std::result::Result::ok)
             .map(|e| e.file_name().to_string_lossy().into_owned())
@@ -554,8 +413,8 @@ fn main() {
 
     let mut verdicts: Vec<FileVerdict> = Vec::new();
     for name in &names {
-        let bpath = std::path::Path::new(&baseline_dir).join(name);
-        let cpath = std::path::Path::new(&current_dir).join(name);
+        let bpath = std::path::Path::new(baseline_dir).join(name);
+        let cpath = std::path::Path::new(current_dir).join(name);
         let base = match load_validated(&bpath) {
             Ok(j) => j,
             Err(e) => {
@@ -583,7 +442,7 @@ fn main() {
         if inject {
             inject_regression(&mut cur);
         }
-        verdicts.push(diff_file(name, &base, &cur, tol));
+        verdicts.push(diff_file(name, &base, &cur));
     }
 
     let total_regressions: usize = verdicts.iter().map(|v| v.regressions.len()).sum();
@@ -625,7 +484,7 @@ fn main() {
     report.metric("baselines", names.len() as f64);
     report.metric("compared", compared as f64);
     report.metric("regressions", total_regressions as f64);
-    report.metric("tol", tol);
+    report.metric("tol", TOL);
     report.flag("verdict", if pass { "pass" } else { "regression" });
     report.flag("injected", inject);
     for v in &verdicts {
@@ -640,7 +499,7 @@ fn main() {
             },
         );
     }
-    ookami_bench::write_or_exit(&out_path, |p| report.write(p));
+    ookami_bench::write_or_exit(out_path, |p| report.write(p));
     println!("wrote {out_path}");
 
     std::process::exit(i32::from(!pass));
@@ -650,147 +509,38 @@ fn main() {
 mod tests {
     use super::*;
 
-    /// Minimal current-side document with the given mode/obs/metrics (the
-    /// floor gates only inspect these fields).
-    fn doc(mode: &str, obs_on: bool, metrics: &[(&str, f64)]) -> Json {
-        let ms: Vec<String> = metrics
-            .iter()
-            .map(|(k, v)| format!("\"{k}\": {v}"))
-            .collect();
-        Json::parse(&format!(
-            "{{\"schema\": \"ookami-bench-v1\", \"probe\": \"t\", \"mode\": \"{mode}\", \
-             \"obs_enabled\": {obs_on}, \"metrics\": {{{}}}, \"flags\": {{}}}}",
-            ms.join(", ")
-        ))
-        .expect("test doc parses")
+    /// A test document (the gates read only `mode`, `obs_enabled`,
+    /// `metrics`, `flags` and `counters`).
+    fn doc(json: &str) -> Json {
+        Json::parse(json).expect("test doc parses")
     }
 
     fn regressions(base: &Json, cur: &Json) -> Vec<String> {
-        diff_file("BENCH_t.json", base, cur, 0.5).regressions
-    }
-
-    #[test]
-    fn par_floor_trips_on_a_capable_host() {
-        let base = doc("full", true, &[]);
-        let cur = doc(
-            "full",
-            true,
-            &[
-                ("host_cores", 8.0),
-                ("replay_par_speedup", 1.2),
-                ("compiled_par_speedup", 3.4),
-            ],
-        );
-        let r = regressions(&base, &cur);
-        assert_eq!(r.len(), 1, "{r:?}");
-        assert!(r[0].contains("replay_par_speedup"), "{r:?}");
-    }
-
-    #[test]
-    fn par_floor_skipped_below_min_cores() {
-        let base = doc("full", true, &[]);
-        let cur = doc(
-            "full",
-            true,
-            &[("host_cores", 1.0), ("replay_par_speedup", 1.0)],
-        );
-        let v = diff_file("BENCH_t.json", &base, &cur, 0.5);
-        assert!(v.regressions.is_empty(), "{:?}", v.regressions);
-        assert!(
-            v.notes
-                .iter()
-                .any(|n| n.contains("parallel floors skipped")),
-            "{:?}",
-            v.notes
-        );
-    }
-
-    #[test]
-    fn par_floor_skipped_when_host_cores_missing() {
-        let base = doc("full", true, &[]);
-        let cur = doc("full", true, &[("compiled_par_speedup", 0.5)]);
-        assert!(regressions(&base, &cur).is_empty());
-    }
-
-    #[test]
-    fn trace_engine_par_floors_need_obs_but_cachesim_does_not() {
-        let base = doc("full", false, &[]);
-        let cur = doc(
-            "full",
-            false,
-            &[
-                ("host_cores", 8.0),
-                ("replay_par_speedup", 1.0),
-                ("cachesim_par_speedup", 1.0),
-            ],
-        );
-        let r = regressions(&base, &cur);
-        assert_eq!(r.len(), 1, "{r:?}");
-        assert!(r[0].contains("cachesim_par_speedup"), "{r:?}");
-    }
-
-    #[test]
-    fn par_floor_ignored_in_smoke_mode() {
-        let base = doc("smoke", true, &[]);
-        let cur = doc(
-            "smoke",
-            true,
-            &[("host_cores", 8.0), ("replay_par_speedup", 1.0)],
-        );
-        assert!(regressions(&base, &cur).is_empty());
-    }
-
-    /// Like `doc` but with string flags.
-    fn doc_flags(mode: &str, flags: &[(&str, &str)]) -> Json {
-        let fs: Vec<String> = flags
-            .iter()
-            .map(|(k, v)| format!("\"{k}\": \"{v}\""))
-            .collect();
-        Json::parse(&format!(
-            "{{\"schema\": \"ookami-bench-v1\", \"probe\": \"t\", \"mode\": \"{mode}\", \
-             \"obs_enabled\": false, \"metrics\": {{}}, \"flags\": {{{}}}}}",
-            fs.join(", ")
-        ))
-        .expect("test doc parses")
+        diff_file("BENCH_t.json", base, cur).regressions
     }
 
     #[test]
     fn pinned_ecm_flag_flip_is_a_regression() {
-        let base = doc_flags("full", &[("ecm_crs_bound", "bandwidth_bound")]);
-        let ok = doc_flags("full", &[("ecm_crs_bound", "bandwidth_bound")]);
+        let ecm = |bound: &str| doc(&format!(r#"{{"mode": "full", "flags": {{{bound}}}}}"#));
+        let base = ecm(r#""ecm_crs_bound": "bandwidth_bound""#);
+        let ok = ecm(r#""ecm_crs_bound": "bandwidth_bound""#);
         assert!(regressions(&base, &ok).is_empty());
-        let flipped = doc_flags("full", &[("ecm_crs_bound", "core_bound")]);
+        let flipped = ecm(r#""ecm_crs_bound": "core_bound""#);
         let r = regressions(&base, &flipped);
         assert_eq!(r.len(), 1, "{r:?}");
         assert!(r[0].contains("attribution flip"), "{r:?}");
         // Missing counts as a flip too — the claim must keep being made.
-        let gone = doc_flags("full", &[]);
+        let gone = ecm("");
         assert_eq!(regressions(&base, &gone).len(), 1);
     }
 
     #[test]
-    fn replay_floor_trips_in_full_mode_only() {
-        let base = doc("full", false, &[]);
-        let cur = doc(
-            "full",
-            false,
-            &[("spmv_replay_speedup", 1.0), ("stream_replay_speedup", 1.0)],
-        );
-        let r = regressions(&base, &cur);
-        assert_eq!(r.len(), 1, "{r:?}");
-        assert!(r[0].contains("spmv_replay_speedup"), "{r:?}");
-        let smoke_base = doc("smoke", false, &[]);
-        let smoke = doc("smoke", false, &[("spmv_replay_speedup", 1.0)]);
-        assert!(regressions(&smoke_base, &smoke).is_empty());
-    }
-
-    #[test]
     fn inject_regression_degrades_replay_speedups() {
-        let mut cur = doc("full", false, &[("spmv_replay_speedup", 3.0)]);
+        let mut cur = doc(r#"{"mode": "full", "metrics": {"spmv_replay_speedup": 3.0}}"#);
         inject_regression(&mut cur);
         let m = num_metrics(&cur);
         assert!((m["spmv_replay_speedup"] - 0.3).abs() < 1e-12, "{m:?}");
-        let base = doc("full", false, &[]);
+        let base = doc(r#"{"mode": "full"}"#);
         let r = regressions(&base, &cur);
         assert!(
             r.iter().any(|r| r.contains("spmv_replay_speedup")),
@@ -798,70 +548,24 @@ mod tests {
         );
     }
 
-    /// Like `doc` but with a counters object and a tripping flag so the
-    /// verdict has something to explain.
-    fn doc_counters(obs_on: bool, gate_ok: bool, counters: &[(&str, u64)]) -> Json {
-        let cs: Vec<String> = counters
-            .iter()
-            .map(|(k, v)| format!("\"{k}\": {v}"))
-            .collect();
-        Json::parse(&format!(
-            "{{\"schema\": \"ookami-bench-v1\", \"probe\": \"t\", \"mode\": \"full\", \
-             \"obs_enabled\": {obs_on}, \"metrics\": {{}}, \
-             \"flags\": {{\"gate\": {gate_ok}}}, \"counters\": {{{}}}}}",
-            cs.join(", ")
-        ))
-        .expect("test doc parses")
-    }
-
-    #[test]
-    fn prof_overhead_ceiling_trips_on_full_obs_runs_only() {
-        let base = doc("full", true, &[]);
-        let hot = doc("full", true, &[("prof_overhead_ratio", 6.0)]);
-        let r = regressions(&base, &hot);
-        assert_eq!(r.len(), 1, "{r:?}");
-        assert!(r[0].contains("above ceiling"), "{r:?}");
-        let fine = doc("full", true, &[("prof_overhead_ratio", 1.4)]);
-        assert!(regressions(&base, &fine).is_empty());
-        // Without obs the ratio measures something else: not gated.
-        let no_obs = doc("full", false, &[("prof_overhead_ratio", 6.0)]);
-        assert!(regressions(&doc("full", false, &[]), &no_obs).is_empty());
-        // Smoke problems are fixed-cost-dominated: not gated.
-        let smoke = doc("smoke", true, &[("prof_overhead_ratio", 6.0)]);
-        assert!(regressions(&doc("smoke", true, &[]), &smoke).is_empty());
-    }
-
     #[test]
     fn explain_ranks_counter_deltas_by_relative_change() {
-        let base = doc_counters(
-            true,
-            true,
-            &[
-                ("sve_instrs", 1000),
-                ("port_fla", 100),
-                ("bytes_loaded", 4000),
-                ("gather_elems", 10),
-                ("fexpa_issues", 50),
-                ("port_br", 7),
-                ("scatter_elems", 10),
-            ],
+        let base = doc(
+            r#"{"mode": "full", "obs_enabled": true, "flags": {"gate": true}, "counters": {
+                "sve_instrs": 1000, "port_fla": 100, "bytes_loaded": 4000, "gather_elems": 10,
+                "fexpa_issues": 50, "port_br": 7, "scatter_elems": 10}}"#,
         );
-        // gate flips false (a regression) and six counters move; only the
-        // top five largest relative movers may be reported.
-        let cur = doc_counters(
-            true,
-            false,
-            &[
-                ("sve_instrs", 1100),   // +10%
-                ("port_fla", 300),      // +200%  <- biggest
-                ("bytes_loaded", 2000), // -50%
-                ("gather_elems", 18),   // +80%
-                ("fexpa_issues", 75),   // +50%
-                ("port_br", 0),         // -100%
-                ("scatter_elems", 10),  // unchanged: never listed
-            ],
+        // gate flips false (a regression) and six counters move: sve_instrs
+        // +10%, port_fla +200% (the biggest), bytes_loaded -50%,
+        // gather_elems +80%, fexpa_issues +50%, port_br -100%;
+        // scatter_elems is unchanged and never listed. Only the top five
+        // largest relative movers may be reported.
+        let cur = doc(
+            r#"{"mode": "full", "obs_enabled": true, "flags": {"gate": false}, "counters": {
+                "sve_instrs": 1100, "port_fla": 300, "bytes_loaded": 2000, "gather_elems": 18,
+                "fexpa_issues": 75, "port_br": 0, "scatter_elems": 10}}"#,
         );
-        let v = diff_file("BENCH_t.json", &base, &cur, 0.5);
+        let v = diff_file("BENCH_t.json", &base, &cur);
         assert!(!v.regressions.is_empty(), "gate flip must regress");
         assert_eq!(v.explain.len(), EXPLAIN_TOP_N, "{:?}", v.explain);
         assert!(v.explain[0].starts_with("port_fla:"), "{:?}", v.explain);
@@ -882,29 +586,30 @@ mod tests {
 
     #[test]
     fn explain_is_empty_for_a_clean_file() {
-        let base = doc_counters(true, true, &[("sve_instrs", 1000)]);
-        let cur = doc_counters(true, true, &[("sve_instrs", 2000)]);
-        // Counter drift alone is a regression only via EXACT_COUNTERS in
-        // matched-mode — which it is here, so check a truly clean pair.
-        let clean = diff_file("BENCH_t.json", &base, &base.clone(), 0.5);
+        let sve = |n: u32| {
+            doc(&format!(
+                r#"{{"mode": "full", "obs_enabled": true, "flags": {{"gate": true}},
+                    "counters": {{"sve_instrs": {n}}}}}"#
+            ))
+        };
+        let base = sve(1000);
+        let cur = sve(2000);
+        // Counter drift alone is a regression only via the exact-counter set
+        // in matched-mode — which it is here, so check a truly clean pair.
+        let clean = diff_file("BENCH_t.json", &base, &base.clone());
         assert!(clean.regressions.is_empty());
         assert!(clean.explain.is_empty());
         // And when the drift does regress, the explanation names it.
-        let v = diff_file("BENCH_t.json", &base, &cur, 0.5);
+        let v = diff_file("BENCH_t.json", &base, &cur);
         assert!(!v.regressions.is_empty());
         assert!(v.explain[0].starts_with("sve_instrs:"), "{:?}", v.explain);
     }
 
     #[test]
     fn inject_regression_doubles_counters_and_blows_the_overhead_ceiling() {
-        let mut cur = Json::parse(
-            "{\"schema\": \"ookami-bench-v1\", \"probe\": \"t\", \"mode\": \"full\", \
-             \"obs_enabled\": true, \
-             \"metrics\": {\"prof_overhead_ratio\": 1.2, \"host_cores\": 8}, \
-             \"flags\": {\"gate\": true}, \
-             \"counters\": {\"sve_instrs\": 500, \"forked_regions\": 9}}",
-        )
-        .expect("test doc parses");
+        let mut cur = doc(r#"{"mode": "full", "obs_enabled": true,
+                "metrics": {"prof_overhead_ratio": 1.2, "host_cores": 8}, "flags": {"gate": true},
+                "counters": {"sve_instrs": 500, "forked_regions": 9}}"#);
         let base = cur.clone();
         inject_regression(&mut cur);
         let m = num_metrics(&cur);
@@ -912,7 +617,7 @@ mod tests {
         let c = counters(&cur);
         assert_eq!(c["sve_instrs"], 1000, "exact counters double");
         assert_eq!(c["forked_regions"], 9, "non-gated counters untouched");
-        let v = diff_file("BENCH_t.json", &base, &cur, 0.5);
+        let v = diff_file("BENCH_t.json", &base, &cur);
         assert!(
             v.regressions.iter().any(|r| r.contains("above ceiling")),
             "{:?}",
@@ -927,17 +632,14 @@ mod tests {
 
     #[test]
     fn inject_regression_degrades_par_speedups() {
-        let mut cur = doc(
-            "full",
-            true,
-            &[("host_cores", 8.0), ("replay_par_speedup", 4.0)],
-        );
+        let mut cur = doc(r#"{"mode": "full", "obs_enabled": true,
+                "metrics": {"host_cores": 8, "replay_par_speedup": 4.0}}"#);
         inject_regression(&mut cur);
         let m = num_metrics(&cur);
         assert!((m["replay_par_speedup"] - 0.4).abs() < 1e-12, "{m:?}");
         // host_cores is a capability, not a measurement: untouched.
         assert!((m["host_cores"] - 8.0).abs() < 1e-12, "{m:?}");
-        let base = doc("full", true, &[]);
+        let base = doc(r#"{"mode": "full", "obs_enabled": true}"#);
         let r = regressions(&base, &cur);
         assert!(
             r.iter().any(|r| r.contains("replay_par_speedup")),

@@ -12,20 +12,21 @@
 //!    preserves per-set LRU order, so any drift is a bug, not noise.
 //! 2. **Parallel floor** (full mode, obs-independent, only on hosts with
 //!    ≥ 4 cores): pool-parallel replay at 4 threads must be at least 2×
-//!    the serial simulator on the same trace.
+//!    the serial simulator on the same trace. `cachesim_par_speedup` is
+//!    the median over interleaved serial/parallel pairs.
 //!
 //! Writes `target/bench/BENCH_mem.json` (schema `ookami-bench-v1`) with the headline
-//! A64FX numbers plus `host_cores`, so `benchdiff` can apply the same
-//! capability-gated floor to committed baselines. Run with:
+//! A64FX numbers plus `host_cores`, which the harness's bounds table
+//! reads. Run with:
 //!
 //! ```text
 //! cargo run -p ookami-bench --bin cachesim --release [--smoke]
 //! ```
 
-use ookami_core::{auto_threads, obs};
+use ookami_bench::probe::{self, Cli, Probe};
+use ookami_core::auto_threads;
 use ookami_mem::{AccessStats, CacheSim, ShardedCacheSim};
 use ookami_uarch::{machines, MemSpec};
-use std::time::Instant;
 
 /// Deterministic synthetic trace mixing the three behaviors the cache
 /// model has to get right: streaming fills (compulsory misses + high reuse
@@ -60,45 +61,38 @@ fn serial_stats(spec: MemSpec, trace: &[(u64, usize)]) -> AccessStats {
     c.replay(trace.iter().copied())
 }
 
-fn best_of<F: FnMut()>(reps: usize, mut f: F) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        f();
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    best
-}
-
 /// Exact-equality check for one machine across dispatch strategies.
 /// Returns false (and prints) on any mismatch.
-fn identity_check(name: &str, spec: MemSpec, trace: &[(u64, usize)]) -> bool {
+fn identity_check(probe: &mut Probe, name: &str, spec: MemSpec, trace: &[(u64, usize)]) -> bool {
     let want = serial_stats(spec, trace);
-    let mut ok = true;
-    let mut sharded = ShardedCacheSim::new(spec, 8);
-    let got = sharded.replay(trace);
-    if got != want {
-        eprintln!("FAIL: {name}: sharded serial replay {got:?} != serial {want:?}");
-        ok = false;
-    }
+    let got = ShardedCacheSim::new(spec, 8).replay(trace);
+    let mut ok = probe.check(
+        got == want,
+        format_args!("{name}: sharded serial replay {got:?} != serial {want:?}"),
+    );
     for threads in [0usize, 1, 2, 4] {
         let mut s = ShardedCacheSim::new(spec, 8);
         let got = s.replay_par(threads, trace);
-        if got != want {
-            eprintln!(
-                "FAIL: {name}: replay_par({threads}) over {} shard(s) {got:?} != serial {want:?}",
+        ok &= probe.check(
+            got == want,
+            format_args!(
+                "{name}: replay_par({threads}) over {} shard(s) {got:?} != serial {want:?}",
                 s.n_shards()
-            );
-            ok = false;
-        }
+            ),
+        );
     }
     ok
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    obs::reset();
-    let obs_before = obs::snapshot();
+    let smoke = Cli {
+        usage: "usage: cachesim [--smoke] — sharded vs serial cache sim; --smoke is the CI size",
+        switches: &["--smoke"],
+        ..Cli::default()
+    }
+    .parse()
+    .has("--smoke");
+    let mut probe = Probe::start("cachesim", if smoke { "smoke" } else { "full" });
     let n = if smoke { 30_000 } else { 600_000 };
     let reps = if smoke { 2 } else { 5 };
     let trace = synth_trace(n);
@@ -107,25 +101,30 @@ fn main() {
     // --- identity gates on both machine geometries ---
     let a64 = machines::a64fx().mem;
     let skx = machines::skylake_6140().mem;
-    let gate = identity_check("a64fx", a64, &trace) && identity_check("skylake_6140", skx, &trace);
+    let identical = identity_check(&mut probe, "a64fx", a64, &trace)
+        & identity_check(&mut probe, "skylake_6140", skx, &trace);
 
     // --- throughput: serial vs pool-parallel sharded, A64FX geometry ---
     let stats = serial_stats(a64, &trace);
     let lines = stats.accesses;
     let mut serial = CacheSim::new(a64);
     serial.replay(trace.iter().copied()); // warm
-    let serial_s = best_of(reps, || {
-        std::hint::black_box(serial.replay(trace.iter().copied()));
-    });
     let mut sharded = ShardedCacheSim::new(a64, 8);
     let shards = sharded.n_shards();
     sharded.replay_par(4, &trace); // warm
-    let par_s = best_of(reps, || {
-        std::hint::black_box(sharded.replay_par(4, &trace));
-    });
-    let serial_lps = lines as f64 / serial_s;
-    let par_lps = lines as f64 / par_s;
-    let par_speedup = serial_s / par_s;
+    let k = reps * 4;
+    let par = probe::pairs(
+        k,
+        || {
+            std::hint::black_box(serial.replay(trace.iter().copied()));
+        },
+        || {
+            std::hint::black_box(sharded.replay_par(4, &trace));
+        },
+    );
+    let serial_lps = lines as f64 / par.best_a();
+    let par_lps = lines as f64 / par.best_b();
+    let par_speedup = probe.ratio("cachesim_par_speedup", &par);
 
     println!("cachesim: {n} accesses ({lines} line touches), a64fx geometry");
     println!(
@@ -133,13 +132,13 @@ fn main() {
         stats.l1_hits, stats.l2_hits, stats.l3_hits, stats.mem, stats.evictions
     );
     println!(
-        "  sharded par4: {par_lps:>12.0} lines/s  ({par_speedup:.2}x, {shards} shard(s), \
-         {host_cores} host core(s))"
+        "  sharded par4: {par_lps:>12.0} lines/s  ({par_speedup:.2}x median of {k} pairs, \
+         {shards} shard(s), {host_cores} host core(s))"
     );
-    println!("  identity (serial == sharded == par over both machines): {gate}");
+    println!("  identity (serial == sharded == par over both machines): {identical}");
 
-    let mut report = obs::BenchReport::new("cachesim", if smoke { "smoke" } else { "full" });
-    report
+    probe
+        .report
         .metric("accesses", n as f64)
         .metric("line_touches", lines as f64)
         .metric("l1_hits", stats.l1_hits as f64)
@@ -149,28 +148,9 @@ fn main() {
         .metric("evictions", stats.evictions as f64)
         .metric("serial_lines_per_sec", serial_lps)
         .metric("par4_lines_per_sec", par_lps)
-        .metric("cachesim_par_speedup", par_speedup)
+        .metric("pairs", k as f64)
         .metric("shards", shards as f64)
         .metric("host_cores", host_cores as f64)
-        .flag("machine", "a64fx")
-        .flag("gate", gate)
-        .attach_obs(&obs::snapshot().since(&obs_before));
-    let path = ookami_bench::bench_out("BENCH_mem.json");
-    ookami_bench::write_or_exit(&path, |p| report.write(p));
-    println!("wrote {path}");
-
-    if !gate {
-        std::process::exit(1);
-    }
-    // Capability-gated parallel floor, mirroring benchdiff: on < 4 cores
-    // the pool runs shard tasks inline and the ratio is meaningless.
-    if !smoke && host_cores >= 4 && par_speedup < 2.0 {
-        eprintln!("FAIL: sharded par4 speedup {par_speedup:.2}x < 2x on a {host_cores}-core host");
-        std::process::exit(1);
-    }
-    if smoke {
-        println!("OK (smoke): identity holds; par4 {par_speedup:.2}x (not gated)");
-    } else {
-        println!("OK: identity holds; par4 {par_speedup:.2}x");
-    }
+        .flag("machine", "a64fx");
+    probe.finish(&ookami_bench::bench_out("BENCH_mem.json"));
 }

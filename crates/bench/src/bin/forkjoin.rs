@@ -5,28 +5,33 @@
 //! spawn-per-region strategy, prints the per-region costs and their
 //! ratio, then least-squares-fits the pool samples into the
 //! `BarrierCost` constants the OpenMP runtime model consumes
-//! (`OmpModel::calibrated`). Run with:
+//! (`OmpModel::calibrated`). Writes `target/bench/BENCH_forkjoin.json`;
+//! the run fails (exit 1) unless the pool is at least 5x cheaper than
+//! spawning at an 8-thread team (`ratio_at_8`, in the harness's bounds
+//! table). Run with:
 //!
 //! ```text
-//! cargo run -p ookami-bench --bin forkjoin --release [reps]
+//! cargo run -p ookami-bench --bin forkjoin --release
 //! ```
 
-use ookami_core::obs;
+use ookami_bench::probe::{Cli, Probe};
 use ookami_core::pool::{measure_pool_fork_join, measure_spawn_fork_join, Pool};
 use ookami_mem::scaling::BarrierCost;
 
-fn main() {
-    let reps: u32 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2_000);
-    let teams = [2usize, 4, 8, 16];
-    obs::reset();
-    let obs_before = obs::snapshot();
-    let mut report = obs::BenchReport::new("forkjoin", "full");
-    report.metric("reps", reps as f64);
+/// Empty regions timed per pool point (spawn points take at most 500).
+const REPS: u32 = 2_000;
 
-    println!("fork/join cost per empty region ({reps} reps per point)");
+fn main() {
+    Cli {
+        usage: "usage: forkjoin — fork/join cost per empty region, pool vs spawn-per-region",
+        ..Cli::default()
+    }
+    .parse();
+    let teams = [2usize, 4, 8, 16];
+    let mut probe = Probe::start("forkjoin", "full");
+    probe.report.metric("reps", f64::from(REPS));
+
+    println!("fork/join cost per empty region ({REPS} reps per point)");
     println!(
         "{:>7}  {:>12}  {:>12}  {:>8}",
         "team", "pool µs", "spawn µs", "ratio"
@@ -35,15 +40,17 @@ fn main() {
     let mut ratio_at_8 = 0.0;
     for team in teams {
         let pool = Pool::new(team - 1);
-        let pool_s = measure_pool_fork_join(&pool, team, reps);
-        let spawn_s = measure_spawn_fork_join(team, reps.min(500));
+        let pool_s = measure_pool_fork_join(&pool, team, REPS);
+        let spawn_s = measure_spawn_fork_join(team, REPS.min(500));
         let ratio = spawn_s / pool_s;
         if team == 8 {
             ratio_at_8 = ratio;
         }
         samples.push((team, pool_s));
-        report.metric(&format!("pool_us_team{team}"), pool_s * 1e6);
-        report.metric(&format!("spawn_us_team{team}"), spawn_s * 1e6);
+        probe
+            .report
+            .metric(&format!("pool_us_team{team}"), pool_s * 1e6)
+            .metric(&format!("spawn_us_team{team}"), spawn_s * 1e6);
         println!(
             "{:>7}  {:>12.3}  {:>12.3}  {:>7.1}x",
             team,
@@ -60,20 +67,10 @@ fn main() {
         fit.base_us, fit.per_thread_us
     );
     println!("(feed these into OmpModel::calibrated to replace the per-compiler guesses)");
-    println!();
-    report
+    probe
+        .report
         .metric("barrier_base_us", fit.base_us)
         .metric("barrier_per_thread_us", fit.per_thread_us)
-        .metric("ratio_at_8", ratio_at_8)
-        .flag("gate", ratio_at_8 >= 5.0)
-        .attach_obs(&obs::snapshot().since(&obs_before));
-    let path = ookami_bench::bench_out("BENCH_forkjoin.json");
-    ookami_bench::write_or_exit(&path, |p| report.write(p));
-    println!("wrote {path}");
-    if ratio_at_8 >= 5.0 {
-        println!("OK: pool fork/join is {ratio_at_8:.1}x cheaper than spawn at 8 threads (>= 5x)");
-    } else {
-        println!("WARN: pool advantage at 8 threads is only {ratio_at_8:.1}x (expected >= 5x)");
-        std::process::exit(1);
-    }
+        .metric("ratio_at_8", ratio_at_8);
+    probe.finish(&ookami_bench::bench_out("BENCH_forkjoin.json"));
 }

@@ -20,6 +20,7 @@
 //! --inject-regression`.
 
 use ookami_bench::family;
+use ookami_bench::probe::Cli;
 use ookami_check::{
     detect_races, injected_race_events, render_all, to_json, validate_trace, verify, MutantVerdict,
     Program,
@@ -30,35 +31,6 @@ use ookami_loops::emulated as loops_em;
 use ookami_mc::emulated as mc_em;
 use ookami_sve::Trace;
 use ookami_vecmath::{exp_trace, ExpVariant};
-
-fn usage() -> ! {
-    println!(
-        "ookamicheck — static verifier + translation validator + race gate\n\
-         \n\
-         usage: ookamicheck [--mutations] [--tv] [--inject-race] [--inject-tv]\n\
-         \x20                [--json <path>] [--help]\n\
-         \n\
-         options:\n\
-           --mutations     also replay the golden corpus and trace-mutation\n\
-                           self-tests (every broken stream must be rejected\n\
-                           with its expected code)\n\
-           --tv            run the translation validator instead: prove every\n\
-                           family trace pass-by-pass through the compiler\n\
-                           pipeline, plus the 24-seed mutation self-test\n\
-                           (report goes to --json, default\n\
-                           target/OOKAMICHECK.tv.json)\n\
-           --inject-race   feed the detector a synthetic overlapping-write\n\
-                           stream; exits 1 when the race is flagged (the\n\
-                           caller inverts this, like benchdiff's\n\
-                           --inject-regression)\n\
-           --inject-tv     feed the validator a trail with a tampered stage;\n\
-                           exits 1 when TV rejects it (caller inverts)\n\
-           --json <path>   machine-readable report (default\n\
-                           target/OOKAMICHECK.json)\n\
-           --help          this text"
-    );
-    std::process::exit(0)
-}
 
 /// Every shipped workload-family trace, one per kernel: Section III
 /// loops, Section IV exp, the Monte Carlo example, and the
@@ -417,42 +389,45 @@ fn race_check_kernels() -> (usize, usize) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut mutations = false;
-    let mut tv = false;
-    let mut inject_race = false;
-    let mut inject_tv = false;
-    let mut json_path: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--mutations" => mutations = true,
-            "--tv" => tv = true,
-            "--inject-race" => inject_race = true,
-            "--inject-tv" => inject_tv = true,
-            "--json" => {
-                if let Some(p) = it.next() {
-                    json_path = Some(p.clone());
-                } else {
-                    eprintln!("error: --json needs a path argument");
-                    std::process::exit(2);
-                }
-            }
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("error: unknown argument `{other}` (try --help)");
-                std::process::exit(2);
-            }
-        }
+    let args = Cli {
+        usage: "ookamicheck — static verifier + translation validator + race gate\n\
+                \n\
+                usage: ookamicheck [--mutations] [--tv] [--inject-race] [--inject-tv] [--out <path>]\n\
+                \n\
+                options:\n\
+                \x20 --mutations     also replay the golden corpus and trace-mutation\n\
+                \x20                 self-tests (every broken stream must be rejected\n\
+                \x20                 with its expected code)\n\
+                \x20 --tv            run the translation validator instead: prove every\n\
+                \x20                 family trace pass-by-pass through the compiler\n\
+                \x20                 pipeline, plus the 24-seed mutation self-test\n\
+                \x20                 (report goes to --out, default\n\
+                \x20                 target/OOKAMICHECK.tv.json)\n\
+                \x20 --inject-race   feed the detector a synthetic overlapping-write\n\
+                \x20                 stream; exits 1 when the race is flagged (the\n\
+                \x20                 caller inverts this, like benchdiff's\n\
+                \x20                 --inject-regression)\n\
+                \x20 --inject-tv     feed the validator a trail with a tampered stage;\n\
+                \x20                 exits 1 when TV rejects it (caller inverts)\n\
+                \x20 --out <path>    machine-readable report (default\n\
+                \x20                 target/OOKAMICHECK.json)",
+        switches: &["--mutations", "--tv", "--inject-race", "--inject-tv"],
+        valued: &["--out"],
+        ..Cli::default()
     }
+    .parse();
+    let mutations = args.has("--mutations");
+    let tv = args.has("--tv");
+    let inject_race = args.has("--inject-race");
+    let inject_tv = args.has("--inject-tv");
+    let json_path = args.value("--out");
 
     if inject_tv {
         std::process::exit(run_inject_tv());
     }
 
     if tv {
-        let path = json_path.unwrap_or_else(|| String::from("target/OOKAMICHECK.tv.json"));
-        let failures = run_tv(&path);
+        let failures = run_tv(json_path.unwrap_or("target/OOKAMICHECK.tv.json"));
         if failures > 0 {
             eprintln!("ookamicheck: {failures} TV gate failure(s)");
             std::process::exit(1);
@@ -460,7 +435,7 @@ fn main() {
         println!("ookamicheck --tv: all pass transitions proved");
         return;
     }
-    let json_path = json_path.unwrap_or_else(|| String::from("target/OOKAMICHECK.json"));
+    let json_path = json_path.unwrap_or("target/OOKAMICHECK.json");
 
     if inject_race {
         let races = detect_races(&injected_race_events());
@@ -529,7 +504,7 @@ fn main() {
         reports.join(",\n")
     );
     Json::parse(&doc).expect("ookamicheck report must be valid JSON");
-    ookami_bench::write_or_exit(&json_path, |p| std::fs::write(p, &doc));
+    ookami_bench::write_or_exit(json_path, |p| std::fs::write(p, &doc));
     println!("wrote {json_path}");
 
     if failures > 0 {

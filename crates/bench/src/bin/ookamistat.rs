@@ -12,6 +12,7 @@
 //! zero and the report says `obs_enabled: false`, which is itself worth a
 //! smoke test (the no-op path must not crash).
 
+use ookami_bench::probe::{Cli, Probe};
 use ookami_core::obs::{self, Counter, Json};
 use ookami_core::timeline;
 use ookami_hpcc::{dgemm_blocked, Fft};
@@ -30,48 +31,27 @@ fn timed(name: &str, f: impl FnOnce()) -> f64 {
     t0.elapsed().as_secs_f64()
 }
 
-fn usage() -> ! {
-    println!(
-        "ookamistat — run a slice of every workload family with the obs counters on\n\
-         \n\
-         usage: ookamistat [--smoke] [--trace <path>] [--help]\n\
-         \n\
-         options:\n\
-           --smoke         small problem sizes (CI); default is the full slice\n\
-           --trace <path>  record a timeline and write a Chrome trace-event JSON\n\
-                           file to <path> (open in chrome://tracing or Perfetto);\n\
-                           requires --features obs for a non-empty trace\n\
-           --help          this text\n\
-         \n\
-         outputs: target/bench/BENCH_obs.json (ookami-bench-v1 schema) and, with --trace,\n\
-         the Chrome trace; exit is nonzero on any counter sanity failure."
-    );
-    std::process::exit(0)
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut smoke = false;
-    let mut trace_path: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--smoke" => smoke = true,
-            "--trace" => {
-                if let Some(p) = it.next() {
-                    trace_path = Some(p.clone());
-                } else {
-                    eprintln!("error: --trace needs a path argument");
-                    std::process::exit(2);
-                }
-            }
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("error: unknown argument `{other}` (try --help)");
-                std::process::exit(2);
-            }
-        }
+    let args = Cli {
+        usage: "ookamistat — run a slice of every workload family with the obs counters on\n\
+                \n\
+                usage: ookamistat [--smoke] [--trace <path>]\n\
+                \n\
+                options:\n\
+                \x20 --smoke         small problem sizes (CI); default is the full slice\n\
+                \x20 --trace <path>  record a timeline and write a Chrome trace-event JSON\n\
+                \x20                 file to <path> (open in chrome://tracing or Perfetto);\n\
+                \x20                 requires --features obs for a non-empty trace\n\
+                \n\
+                outputs: target/bench/BENCH_obs.json (ookami-bench-v1 schema) and, with --trace,\n\
+                the Chrome trace; exit 1 on any counter sanity failure.",
+        switches: &["--smoke"],
+        valued: &["--trace"],
+        ..Cli::default()
     }
+    .parse();
+    let smoke = args.has("--smoke");
+    let trace_path = args.value("--trace");
     let scale = if smoke { 1 } else { 4 };
     if !obs::enabled() {
         eprintln!(
@@ -79,11 +59,10 @@ fn main() {
              rebuild with --features obs for real counts"
         );
     }
-    obs::reset();
+    let mut probe = Probe::start("ookamistat", if smoke { "smoke" } else { "full" });
     if trace_path.is_some() {
         timeline::start(timeline::DEFAULT_CAPACITY);
     }
-    let mut report = obs::BenchReport::new("ookamistat", if smoke { "smoke" } else { "full" });
 
     // --- Section III loops through the SVE emulator ---
     let vl = 8;
@@ -96,8 +75,8 @@ fn main() {
         emulated::run_gather_sve(&mut s, vl, false, m);
         emulated::run_scatter_sve(&mut s, vl, false);
     });
-    report.metric("loops_seconds", t_loops);
-    report.metric("loops_elements", n_loop as f64);
+    probe.report.metric("loops_seconds", t_loops);
+    probe.report.metric("loops_elements", n_loop as f64);
 
     // --- Section IV math: the FEXPA exp over a sweep (trace replay) ---
     let n_exp = 10_000 * scale;
@@ -108,22 +87,22 @@ fn main() {
         let t = exp_trace(vl, ExpVariant::FexpaEstrinCorrected);
         std::hint::black_box(t.map(&xs));
     });
-    report.metric("exp_seconds", t_exp);
-    report.metric("exp_elements", n_exp as f64);
+    probe.report.metric("exp_seconds", t_exp);
+    probe.report.metric("exp_elements", n_exp as f64);
 
     // --- Section V NPB: EP and CG (class S, pool-parallel) ---
     let t_npb = timed("npb", || {
         std::hint::black_box(ep::run(Class::S, 4));
         std::hint::black_box(cg::run(Class::S, 4));
     });
-    report.metric("npb_seconds", t_npb);
+    probe.report.metric("npb_seconds", t_npb);
 
     // --- Section VI LULESH: a few Sedov cycles, threaded ---
     let t_lulesh = timed("lulesh", || {
         let mut h = Hydro::sedov(8, 3.948746e7);
         h.run_mt(1.0, 4 * scale, 4);
     });
-    report.metric("lulesh_seconds", t_lulesh);
+    probe.report.metric("lulesh_seconds", t_lulesh);
 
     // --- Section VII HPCC: blocked DGEMM + Stockham FFT ---
     let nd = 96 * scale.min(2);
@@ -148,19 +127,20 @@ fn main() {
         s.triad(3.0, 4);
         std::hint::black_box(&s);
     });
-    report.metric("hpcc_seconds", t_hpcc);
+    probe.report.metric("hpcc_seconds", t_hpcc);
 
     // --- trace export (before rendering, so the trace ends at the last
     //     workload event rather than mid-report) ---
-    if let Some(path) = &trace_path {
+    if let Some(path) = trace_path {
         timeline::stop();
         let doc = timeline::export_chrome_trace();
         // The exporter promises Json-parseable output; hold it to that
         // before the file lands on disk.
         let parsed = Json::parse(&doc).expect("exported Chrome trace must be valid JSON");
         if obs::enabled() {
-            let Some(Json::Arr(events)) = parsed.get("traceEvents") else {
-                panic!("trace missing traceEvents array")
+            let events = match parsed.get("traceEvents") {
+                Some(Json::Arr(events)) => &events[..],
+                _ => &[],
             };
             // ≥ 1 span per workload family: every family slice above ran
             // under obs::region, so each name must open at least once.
@@ -169,7 +149,10 @@ fn main() {
                     matches!(e.get("ph"), Some(Json::Str(p)) if p == "B")
                         && matches!(e.get("name"), Some(Json::Str(n)) if n == family)
                 });
-                assert!(opened, "trace lacks a span for workload family `{family}`");
+                probe.check(
+                    opened,
+                    format_args!("trace lacks a span for workload family `{family}`"),
+                );
             }
             let stats = timeline::stats();
             println!(
@@ -182,9 +165,6 @@ fn main() {
     }
 
     // --- render ---
-    let snap = obs::snapshot();
-    report.attach_obs(&snap);
-
     println!("ookamistat ({} mode)", if smoke { "smoke" } else { "full" });
     println!("{:>24}  {:>9}", "slice", "seconds");
     for (name, secs) in [
@@ -198,32 +178,30 @@ fn main() {
     }
     println!();
     if obs::enabled() {
+        let snap = obs::snapshot();
         println!("{:>24}  {:>14}", "counter", "events");
         for (name, v) in snap.nonzero() {
             println!("{name:>24}  {v:>14}");
         }
         // Sanity anchors: the gather/scatter loops move one element per
         // index, and the FEXPA exp issues one FEXPA per vector.
-        assert_eq!(
-            snap.get(Counter::GatherElems),
-            n_loop as u64,
-            "gather element count off"
+        let gathers = snap.get(Counter::GatherElems);
+        probe.check(
+            gathers == n_loop as u64,
+            format_args!("gather element count {gathers} != {n_loop}"),
         );
-        assert_eq!(
-            snap.get(Counter::ScatterElems),
-            n_loop as u64,
-            "scatter element count off"
+        let scatters = snap.get(Counter::ScatterElems);
+        probe.check(
+            scatters == n_loop as u64,
+            format_args!("scatter element count {scatters} != {n_loop}"),
         );
-        assert!(
-            snap.get(Counter::FexpaIssues) >= n_exp.div_ceil(vl) as u64,
-            "FEXPA issue count off"
+        let fexpas = snap.get(Counter::FexpaIssues);
+        let want = n_exp.div_ceil(vl) as u64;
+        probe.check(
+            fexpas >= want,
+            format_args!("FEXPA issue count {fexpas} < {want}"),
         );
         println!();
     }
-    let path = ookami_bench::bench_out("BENCH_obs.json");
-    ookami_bench::write_or_exit(&path, |p| report.write(p));
-    // Belt and braces: re-read and validate what actually landed on disk.
-    let disk = std::fs::read_to_string(&path).expect("read back BENCH_obs.json");
-    obs::validate_bench_json(&disk).expect("BENCH_obs.json fails schema validation");
-    println!("wrote {path} (schema ookami-bench-v1, validated)");
+    probe.finish(&ookami_bench::bench_out("BENCH_obs.json"));
 }

@@ -9,9 +9,15 @@
 //! their `schema` tag: `BENCH_*.json` (`ookami-bench-v1`) and the
 //! `ookamicheck` analyzer report (`ookamicheck-v1`) are both accepted.
 //!
-//! With `--derive <file> [--threads N]` it prints the roofline /
-//! bottleneck table `obs::derive` computes from the file's counter
-//! snapshots (per span and in total) against the A64FX machine model.
+//! With `--derive <file>` it prints the roofline / bottleneck table
+//! `obs::derive` computes from the file's counter snapshots (per span and
+//! in total) against the A64FX machine model at the probes' 4 threads.
+
+use ookami_bench::probe::{usage_error, Cli};
+
+/// Thread count `--derive` places the counters at: the probes' parallel
+/// sections run 4-thread regions.
+const DERIVE_THREADS: usize = 4;
 
 /// Shape-check an `ookamicheck-v1` document (written by the
 /// `ookamicheck` bin): per-program diagnostic counts plus the race
@@ -143,46 +149,7 @@ fn validate_any(text: &str) -> Result<(), String> {
     }
 }
 
-fn usage(code: i32) -> ! {
-    println!(
-        "report — regenerate the full reproduction report, or inspect BENCH files\n\
-         \n\
-         usage:\n\
-           report                         full report on stdout\n\
-           report --validate <file>...    schema-check report files\n\
-                                          (BENCH_*.json, OOKAMICHECK*.json)\n\
-           report --derive <file> [--threads N]\n\
-                                          roofline/bottleneck table from a\n\
-                                          BENCH_*.json with counters (default\n\
-                                          threads: 4, matching the probes)\n\
-           report --help                  this text"
-    );
-    std::process::exit(code)
-}
-
-fn run_derive(args: &[String]) -> ! {
-    let mut file: Option<&String> = None;
-    let mut threads = 4usize;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--threads" => {
-                threads = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("error: --threads needs a positive integer");
-                    std::process::exit(2);
-                });
-            }
-            _ if file.is_none() => file = Some(a),
-            other => {
-                eprintln!("error: unexpected argument `{other}`");
-                std::process::exit(2);
-            }
-        }
-    }
-    let Some(file) = file else {
-        eprintln!("usage: report --derive <BENCH_*.json> [--threads N]");
-        std::process::exit(2);
-    };
+fn run_derive(file: &str) -> ! {
     let text = std::fs::read_to_string(file).unwrap_or_else(|e| {
         eprintln!("FAIL {file}: {e}");
         std::process::exit(2);
@@ -193,7 +160,7 @@ fn run_derive(args: &[String]) -> ! {
     }
     let doc = ookami_core::obs::Json::parse(&text).expect("validated JSON reparses");
     let m = ookami_uarch::machines::a64fx();
-    match ookami_core::obs::derive::derive_bench_doc(&doc, m, threads) {
+    match ookami_core::obs::derive::derive_bench_doc(&doc, m, DERIVE_THREADS) {
         Ok(rows) if rows.is_empty() => {
             println!(
                 "{file}: no counter snapshots to derive from (was the probe built \
@@ -204,7 +171,7 @@ fn run_derive(args: &[String]) -> ! {
         Ok(rows) => {
             print!(
                 "{}",
-                ookami_core::obs::derive::render_table(&rows, m, threads)
+                ookami_core::obs::derive::render_table(&rows, m, DERIVE_THREADS)
             );
             std::process::exit(0);
         }
@@ -216,18 +183,31 @@ fn run_derive(args: &[String]) -> ! {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        usage(0);
+    let args = Cli {
+        usage: "report — regenerate the full reproduction report, or inspect BENCH files\n\
+                \n\
+                usage:\n\
+                \x20 report                         full report on stdout\n\
+                \x20 report --validate <file>...    schema-check report files\n\
+                \x20                                (BENCH_*.json, OOKAMICHECK*.json)\n\
+                \x20 report --derive <file>         roofline/bottleneck table from a\n\
+                \x20                                BENCH_*.json with counters, at the\n\
+                \x20                                probes' 4 threads",
+        switches: &["--validate"],
+        valued: &["--derive"],
+        positionals: usize::MAX,
     }
-    if args.first().map(String::as_str) == Some("--derive") {
-        run_derive(&args[1..]);
+    .parse();
+    let files = &args.positionals;
+    if let Some(file) = args.value("--derive") {
+        if args.has("--validate") || !files.is_empty() {
+            usage_error("--derive takes one file and no other argument");
+        }
+        run_derive(file);
     }
-    if args.first().map(String::as_str) == Some("--validate") {
-        let files = &args[1..];
+    if args.has("--validate") {
         if files.is_empty() {
-            eprintln!("usage: report --validate BENCH_*.json");
-            std::process::exit(2);
+            usage_error("--validate needs at least one file");
         }
         for f in files {
             let text = match std::fs::read_to_string(f) {
@@ -246,6 +226,9 @@ fn main() {
             }
         }
         return;
+    }
+    if let Some(f) = files.first() {
+        usage_error(&format!("unexpected argument `{f}`"));
     }
 
     println!("# ookami — full reproduction report\n");

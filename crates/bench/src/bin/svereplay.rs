@@ -13,21 +13,24 @@
 //! cargo run -p ookami-bench --bin svereplay --release [--smoke]
 //! ```
 //!
-//! `--smoke` (CI mode) shrinks the sweep and skips the speedup gates —
-//! shared runners are too noisy for hard perf assertions — but still
-//! enforces every identity check. The full run fails (exit 1) unless
-//! replay is at least 5× the interpreter, and (with obs compiled in, the
-//! configuration the committed baseline records) the compiled path is at
-//! least 5× replay.
+//! `--smoke` (CI mode) shrinks the sweep; the harness's bounds table
+//! applies to full runs only, so smoke runs enforce the identity checks
+//! alone. A full run fails (exit 1) unless replay is at least 5× the
+//! interpreter and (with obs compiled in, the configuration the committed
+//! baseline records) the compiled path is at least 5× replay. Each gated
+//! ratio is the median over `pairs` interleaved pairs, each pair timing
+//! both sides once.
 //!
 //! The probe also sweeps both parallel executors over 1/2/4/8 threads and
 //! publishes `replay_par_speedup` / `compiled_par_speedup` (4 threads vs
-//! the engine's own serial path) together with `host_cores`, so
-//! `benchdiff` can gate parallel scaling wherever the host actually has
-//! the cores; on boxes with fewer than 4 cores the pool runs regions
-//! inline and the par floors are skipped rather than faked.
+//! the engine's own serial path) together with `host_cores`, so the
+//! parallel floors apply wherever the host actually has the cores; on
+//! boxes with fewer than 4 cores the pool runs regions inline and the par
+//! floors are skipped rather than faked.
 
-use ookami_core::{auto_threads, obs};
+use ookami_bench::probe::{self, best_of, thread_delta, Cli, Probe};
+use ookami_core::auto_threads;
+use ookami_core::obs::{self, Counter, IDENTITY_COUNTERS};
 use ookami_sve::SveCtx;
 use ookami_uarch::{Instr, OpClass, Reg, Width};
 use ookami_vecmath::exp::{
@@ -35,7 +38,6 @@ use ookami_vecmath::exp::{
 };
 use ookami_vecmath::ulp::sample_range;
 use std::collections::HashMap;
-use std::time::Instant;
 
 /// Thread counts swept by the parallel throughput section. 4 is the
 /// headline (one A64FX CMG's worth of meaningful scaling on commodity
@@ -87,56 +89,15 @@ fn canon(instrs: &[Instr]) -> Vec<CanonInstr> {
         .collect()
 }
 
-fn best_of<F: FnMut()>(reps: usize, mut f: F) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        f();
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    best
-}
-
-/// The counters that must be exactly equal across the three executors
-/// (byte counters are compared separately: the interpreter's harness
-/// stages padded tail lanes, so only replay-vs-compiled agree on bytes).
-const IDENTITY_COUNTERS: [&str; 13] = [
-    "sve_instrs",
-    "sve_lanes_active",
-    "port_fla",
-    "port_flb",
-    "port_pr",
-    "port_exa",
-    "port_exb",
-    "port_eaga",
-    "port_eagb",
-    "port_br",
-    "gather_elems",
-    "scatter_elems",
-    "fexpa_issues",
-];
-
-/// Per-thread obs deltas of `f`, projected onto [`IDENTITY_COUNTERS`]
-/// (first array) and the byte counters (second).
-fn counter_delta(f: impl FnOnce()) -> ([u64; 13], [u64; 2]) {
-    let before = obs::thread_snapshot();
-    f();
-    let d = obs::thread_snapshot().since(&before);
-    let mut out = [0u64; 13];
-    for (slot, name) in out.iter_mut().zip(IDENTITY_COUNTERS.iter()) {
-        *slot = d.get(obs::Counter::from_name(name).expect("known counter"));
-    }
-    let bytes = [
-        d.get(obs::Counter::BytesLoaded),
-        d.get(obs::Counter::BytesStored),
-    ];
-    (out, bytes)
-}
-
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    obs::reset();
-    let obs_before = obs::snapshot();
+    let smoke = Cli {
+        usage: "usage: svereplay [--smoke] — interpreter vs replay vs compiled; --smoke is the CI size",
+        switches: &["--smoke"],
+        ..Cli::default()
+    }
+    .parse()
+    .has("--smoke");
+    let mut probe = Probe::start("svereplay", if smoke { "smoke" } else { "full" });
     let vl = 8usize;
     let n = if smoke { 4_001 } else { 40_001 };
     let reps = if smoke { 2 } else { 5 };
@@ -153,52 +114,57 @@ fn main() {
         let want = exp_slice_interp(vl, &xs, v);
         let t = exp_trace(vl, v);
         let ct = t.compile();
-        let same_as = |got: &[f64], what: &str| {
+        let mut same_as = |got: &[f64], what: &str| {
             let same = want.len() == got.len()
                 && want
                     .iter()
                     .zip(got)
                     .all(|(a, b)| a.to_bits() == b.to_bits());
-            if !same {
-                eprintln!("FAIL: {v:?} {what} is not bit-identical to the interpreter");
-            }
-            same
+            probe.check(
+                same,
+                format_args!("{v:?} {what} is not bit-identical to the interpreter"),
+            )
         };
         bit_identical &= same_as(&t.replay_map(&xs), "replay");
         bit_identical &= same_as(&t.replay_par_map(4, &xs), "parallel replay");
         bit_identical &= same_as(&ct.map(&xs), "compiled execution");
         bit_identical &= same_as(&ct.par_map(4, &xs), "parallel compiled execution");
-        if !ct.is_native() {
-            eprintln!("FAIL: {v:?} was rejected by the native-compilation gate");
-            bit_identical = false;
-        }
+        bit_identical &= probe.check(
+            ct.is_native(),
+            format_args!("{v:?} was rejected by the native-compilation gate"),
+        );
         compile_reports.push((format!("{v:?}"), ct.report()));
 
         // Counter identity across the three executors (vacuous without
         // obs): the kernel's retired-op totals must not depend on the
-        // execution strategy.
+        // execution strategy. Bytes are compared replay vs compiled only:
+        // the interpreter's harness stages padded tail lanes.
         if obs::enabled() {
-            let (ci, _) = counter_delta(|| {
+            let ci = thread_delta(|| {
                 std::hint::black_box(exp_slice_interp(vl, &xs, v));
             });
-            let (cr, br) = counter_delta(|| {
+            let cr = thread_delta(|| {
                 std::hint::black_box(t.replay_map(&xs));
             });
-            let (cc, bc) = counter_delta(|| {
+            let cc = thread_delta(|| {
                 std::hint::black_box(ct.map(&xs));
             });
-            for (k, name) in IDENTITY_COUNTERS.iter().enumerate() {
-                if !(ci[k] == cr[k] && cr[k] == cc[k]) {
-                    counters_identical = false;
-                    eprintln!(
-                        "FAIL: {v:?} counter {name}: interp {} / replay {} / compiled {}",
-                        ci[k], cr[k], cc[k]
-                    );
-                }
+            for c in IDENTITY_COUNTERS {
+                let (i, r, k) = (ci.get(c), cr.get(c), cc.get(c));
+                counters_identical &= probe.check(
+                    i == r && r == k,
+                    format_args!(
+                        "{v:?} counter {}: interp {i} / replay {r} / compiled {k}",
+                        c.name()
+                    ),
+                );
             }
-            if br != bc {
-                counters_identical = false;
-                eprintln!("FAIL: {v:?} byte counters: replay {br:?} vs compiled {bc:?}");
+            for c in [Counter::BytesLoaded, Counter::BytesStored] {
+                let (r, k) = (cr.get(c), cc.get(c));
+                counters_identical &= probe.check(
+                    r == k,
+                    format_args!("{v:?} counter {}: replay {r} vs compiled {k}", c.name()),
+                );
             }
         }
 
@@ -209,55 +175,57 @@ fn main() {
         let _ = exp_kernel(&mut ctx, &pg, &x, v);
         let want_stream = canon(&ctx.take_recording());
         let got_stream = canon(&t.to_instrs());
-        if want_stream != got_stream {
-            instrs_identical = false;
-            eprintln!("FAIL: {v:?} trace lowers to a different instruction stream");
-        }
+        instrs_identical &= probe.check(
+            want_stream == got_stream,
+            format_args!("{v:?} trace lowers to a different instruction stream"),
+        );
     }
 
-    // --- throughput: headline variant ---
-    let interp_s = best_of(reps, || {
-        std::hint::black_box(exp_slice_interp(vl, &xs, headline));
-    });
+    // --- throughput: headline variant. Each gated ratio is the median
+    // of k interleaved pairs; each rate is its side's fastest run ---
+    let k = reps * 4;
     let t = exp_trace(vl, headline);
-    let replay_s = best_of(reps * 4, || {
+    let ct = t.compile();
+    let interp = || {
+        std::hint::black_box(exp_slice_interp(vl, &xs, headline));
+    };
+    let replay = || {
         std::hint::black_box(t.replay_map(&xs));
+    };
+    let compiled = || {
+        std::hint::black_box(ct.map(&xs));
+    };
+    let vs_interp = probe::pairs(k, interp, replay);
+    let vs_replay = probe::pairs(k, replay, compiled);
+    let replay_par = probe::pairs(k, replay, || {
+        std::hint::black_box(t.replay_par_map(4, &xs));
     });
+    let compiled_par = probe::pairs(k, compiled, || {
+        std::hint::black_box(ct.par_map(4, &xs));
+    });
+    let interp_s = vs_interp.best_a();
+    let replay_s = vs_replay.best_a();
+    let compiled_s = vs_replay.best_b();
     let record_s = best_of(reps, || {
         std::hint::black_box(exp_trace(vl, headline));
     });
-    let ct = t.compile();
-    let compiled_s = best_of(reps * 4, || {
-        std::hint::black_box(ct.map(&xs));
-    });
-    // Thread-scaling sweep: each entry is (threads, best-of seconds).
-    let replay_sweep: Vec<(usize, f64)> = SWEEP_THREADS
+    // Thread-scaling curve: (threads, replay, compiled) best-of seconds.
+    // The 4-thread point is the parallel side of the `*_par` pairs.
+    let sweep: Vec<(usize, f64, f64)> = SWEEP_THREADS
         .iter()
-        .map(|&th| {
-            let s = best_of(reps * 4, || {
-                std::hint::black_box(t.replay_par_map(th, &xs));
-            });
-            (th, s)
+        .map(|&th| match th {
+            4 => (th, replay_par.best_b(), compiled_par.best_b()),
+            _ => (
+                th,
+                best_of(k, || {
+                    std::hint::black_box(t.replay_par_map(th, &xs));
+                }),
+                best_of(k, || {
+                    std::hint::black_box(ct.par_map(th, &xs));
+                }),
+            ),
         })
         .collect();
-    let compiled_sweep: Vec<(usize, f64)> = SWEEP_THREADS
-        .iter()
-        .map(|&th| {
-            let s = best_of(reps * 4, || {
-                std::hint::black_box(ct.par_map(th, &xs));
-            });
-            (th, s)
-        })
-        .collect();
-    let sweep_at = |sweep: &[(usize, f64)], th: usize| {
-        sweep
-            .iter()
-            .find(|&&(t, _)| t == th)
-            .map(|&(_, s)| s)
-            .expect("thread count is in the sweep")
-    };
-    let par_s = sweep_at(&replay_sweep, 4);
-    let compiled_par_s = sweep_at(&compiled_sweep, 4);
     // `Trace::compile` clones the trace, so every call re-runs the full
     // pass pipeline + kernel emission: the one-time cost a caller pays
     // before amortizing it over replays.
@@ -267,20 +235,20 @@ fn main() {
 
     let interp_eps = n as f64 / interp_s;
     let replay_eps = n as f64 / replay_s;
-    let par_eps = n as f64 / par_s;
+    let par_eps = n as f64 / replay_par.best_b();
     let compiled_eps = n as f64 / compiled_s;
-    let compiled_par_eps = n as f64 / compiled_par_s;
-    let speedup = replay_eps / interp_eps;
-    let compiled_speedup = compiled_eps / replay_eps;
+    let compiled_par_eps = n as f64 / compiled_par.best_b();
+    let speedup = probe.ratio("speedup", &vs_interp);
+    let compiled_speedup = probe.ratio("compiled_speedup", &vs_replay);
     // Parallel scaling vs each engine's own serial path at the headline
     // thread count (4). On a host with < 4 cores the pool clamps worker
-    // count and these ratios hover near 1.0 — which is why both the probe
-    // gate below and benchdiff's floors key off `host_cores`.
+    // count and these ratios hover near 1.0 — which is why the parallel
+    // floors key off `host_cores`.
     let host_cores = auto_threads();
-    let replay_par_speedup = replay_s / par_s;
-    let compiled_par_speedup = compiled_s / compiled_par_s;
+    let replay_par_speedup = probe.ratio("replay_par_speedup", &replay_par);
+    let compiled_par_speedup = probe.ratio("compiled_par_speedup", &compiled_par);
 
-    println!("svereplay: exp sweep, {n} elements, vl={vl}, {headline:?}");
+    println!("svereplay: exp sweep, {n} elements, vl={vl}, {headline:?}, ratios are medians of {k} pairs");
     println!("  interpreter : {interp_eps:>12.0} elems/s");
     println!(
         "  trace replay: {:>12.0} elems/s  ({speedup:.1}x, record cost {:.1} µs)",
@@ -297,49 +265,39 @@ fn main() {
         "  compiled par4: {compiled_par_eps:>11.0} elems/s  ({compiled_par_speedup:.2}x serial compiled)"
     );
     println!("  scaling ({host_cores} host core(s)):");
-    for &(th, s) in &replay_sweep {
-        println!("    replay   x{th}: {:>12.0} elems/s", n as f64 / s);
-    }
-    for &(th, s) in &compiled_sweep {
-        println!("    compiled x{th}: {:>12.0} elems/s", n as f64 / s);
+    for &(th, r, c) in &sweep {
+        println!(
+            "    x{th}: replay {:>12.0}  compiled {:>12.0} elems/s",
+            n as f64 / r,
+            n as f64 / c
+        );
     }
     println!(
         "  bit-identical: {bit_identical}   counters identical: {counters_identical}   \
          instruction streams identical: {instrs_identical}"
     );
 
-    let mut report = obs::BenchReport::new("svereplay", if smoke { "smoke" } else { "full" });
-    report
+    probe
+        .report
         .metric("vl", vl as f64)
         .metric("elements", n as f64)
         .metric("interp_elems_per_sec", interp_eps)
         .metric("replay_elems_per_sec", replay_eps)
-        .metric("replay_par4_elems_per_sec", par_eps)
         .metric("compiled_elems_per_sec", compiled_eps)
-        .metric("compiled_par4_elems_per_sec", compiled_par_eps)
         .metric("record_cost_us", record_s * 1e6)
         .metric("compile_cost_us", compile_s * 1e6)
-        .metric("speedup", speedup)
-        .metric("compiled_speedup", compiled_speedup)
+        .metric("pairs", k as f64)
         .metric("host_cores", host_cores as f64)
-        .metric("replay_par_speedup", replay_par_speedup)
-        .metric("compiled_par_speedup", compiled_par_speedup)
         .flag("variant", format!("{headline:?}"))
         .flag("bit_identical", bit_identical)
         .flag("counters_identical", counters_identical)
-        .flag("instr_streams_identical", instrs_identical)
-        .attach_obs(&obs::snapshot().since(&obs_before));
-    // Full sweep points (the par4 entries above are the headline pair and
-    // already covered; the rest chart the scaling curve).
-    for &(th, s) in replay_sweep.iter().filter(|&&(th, _)| th != 4) {
-        report.metric(&format!("replay_par{th}_elems_per_sec"), n as f64 / s);
+        .flag("instr_streams_identical", instrs_identical);
+    for &(th, r, c) in &sweep {
+        probe
+            .report
+            .metric(&format!("replay_par{th}_elems_per_sec"), n as f64 / r)
+            .metric(&format!("compiled_par{th}_elems_per_sec"), n as f64 / c);
     }
-    for &(th, s) in compiled_sweep.iter().filter(|&&(th, _)| th != 4) {
-        report.metric(&format!("compiled_par{th}_elems_per_sec"), n as f64 / s);
-    }
-    let path = ookami_bench::bench_out("BENCH_sve.json");
-    ookami_bench::write_or_exit(&path, |p| report.write(p));
-    println!("wrote {path}");
 
     // Per-variant pass-pipeline summary (uploaded as a CI artifact).
     let entries: Vec<String> = compile_reports
@@ -368,48 +326,5 @@ fn main() {
     ookami_bench::write_or_exit("target/COMPILE_REPORT.json", |p| std::fs::write(p, &doc));
     println!("wrote target/COMPILE_REPORT.json");
 
-    if !bit_identical || !instrs_identical || !counters_identical {
-        std::process::exit(1);
-    }
-    if !smoke && speedup < 5.0 {
-        eprintln!("FAIL: replay speedup {speedup:.2}x < 5x over the per-op interpreter");
-        std::process::exit(1);
-    }
-    // The compiled floor is calibrated against the obs-on accounting the
-    // committed baseline records; without obs the replayer's fast paths
-    // close part of the gap and the ratio is not comparable.
-    if !smoke && obs::enabled() && compiled_speedup < 5.0 {
-        eprintln!("FAIL: compiled speedup {compiled_speedup:.2}x < 5x over the replayer");
-        std::process::exit(1);
-    }
-    // Parallel-scaling floors are capability-gated: with < 4 host cores
-    // the pool runs regions inline (or with too few workers) and a 3x bar
-    // would fail for reasons that have nothing to do with the code.
-    if !smoke && obs::enabled() && host_cores >= 4 {
-        if replay_par_speedup < 3.0 {
-            eprintln!(
-                "FAIL: replay par4 speedup {replay_par_speedup:.2}x < 3x on a \
-                 {host_cores}-core host"
-            );
-            std::process::exit(1);
-        }
-        if compiled_par_speedup < 3.0 {
-            eprintln!(
-                "FAIL: compiled par4 speedup {compiled_par_speedup:.2}x < 3x on a \
-                 {host_cores}-core host"
-            );
-            std::process::exit(1);
-        }
-    }
-    if smoke {
-        println!(
-            "OK (smoke): identity checks passed; replay {speedup:.1}x, \
-             compiled {compiled_speedup:.1}x (not gated)"
-        );
-    } else {
-        println!(
-            "OK: replay is {speedup:.1}x the interpreter (>= 5x); compiled is \
-             {compiled_speedup:.1}x replay"
-        );
-    }
+    probe.finish(&ookami_bench::bench_out("BENCH_sve.json"));
 }

@@ -1,16 +1,22 @@
-//! Regenerate the paper's tables: `tables <table1|table2|table3>|all`.
+//! Regenerate the paper's tables: `tables [<table1|table2|table3>|all]`.
 //! An unknown id prints the valid ones to stderr and exits 2.
 
+use ookami_bench::probe::{usage_error, Cli};
 use ookami_bench::ALL_TABLES;
 
 fn main() {
-    let which = std::env::args().nth(1).unwrap_or_else(|| "all".to_string());
-    if which != "all" && !ALL_TABLES.contains(&which.as_str()) {
-        eprintln!(
-            "error: unknown table `{which}`; valid ids: {}, all",
-            ALL_TABLES.join(", ")
-        );
-        std::process::exit(2);
+    let args = Cli {
+        usage: "usage: tables [table1|table2|table3|all] — regenerate the paper's tables",
+        positionals: 1,
+        ..Cli::default()
     }
-    print!("{}", ookami_bench::run_tables(&which));
+    .parse();
+    let which = args.positionals.first().map_or("all", String::as_str);
+    if which != "all" && !ALL_TABLES.contains(&which) {
+        usage_error(&format!(
+            "unknown table `{which}`; valid ids: {}, all",
+            ALL_TABLES.join(", ")
+        ));
+    }
+    print!("{}", ookami_bench::run_tables(which));
 }

@@ -1,47 +1,55 @@
 //! # ookami-bench — figure/table regenerators and measurement probes
 //!
-//! Binaries (run with `cargo run -p ookami-bench --bin <name> --release`):
+//! Binaries (run with `cargo run -p ookami-bench --release --bin <name>`;
+//! every one takes `--help`):
 //!
-//! * `figures <fig1|fig2|sec4|fig3|fig4|fig5|fig6|fig7|fig8|fig9|all> [--csv]`
-//!   — regenerate any figure of the paper as a text table (or CSV rows);
-//! * `tables <table1|table2|table3|all>` — regenerate the paper's tables;
-//! * `forkjoin [reps]` — fork/barrier overhead probe: persistent pool vs
-//!   spawn-per-region, plus fitted `BarrierCost` constants for the OpenMP
-//!   runtime model.
+//! * regenerators: `figures [<id>|all] [--csv]`, `tables [<id>|all]`,
+//!   `ablations`, `accuracy` (also writes `BENCH_accuracy.json`), and
+//!   `report` (the full text report, or `--validate <file>...` /
+//!   `--derive <file>` on report files);
+//! * probes, each writing a `target/bench/BENCH_*.json` report and
+//!   described in its own module doc: `svereplay`, `spmv`, `cachesim`,
+//!   `forkjoin`, `ookamistat` and `ookamiprof`;
+//! * gates: `benchdiff` (current reports vs the committed baselines) and
+//!   `ookamicheck` (static verifier, translation validator, race check).
 //!
-//! Each regenerator evaluates its figure once: the row function is the
-//! model evaluation and the text is laid out from those rows.
+//! Every binary parses its arguments, and every probe runs, writes and
+//! judges its report, through [`probe`]. Each regenerator evaluates its
+//! figure once: the row function is the model evaluation and the text is
+//! laid out from those rows.
 
 pub mod ablations;
 pub mod accuracy;
 pub mod ecm;
 pub mod family;
+pub mod probe;
 
 use std::path::Path;
 
 use ookami_core::measure::{render_pivot, to_csv, Measurement};
 
-/// Evaluate a figure by name once; returns `(pretty_text, rows)`, the
-/// text laid out from the rows. `None` for an unknown id.
-pub fn figure(name: &str) -> Option<(String, Vec<Measurement>)> {
+/// Evaluate a figure by name once; returns its rows and the function that
+/// lays them out as text, so a CSV caller renders nothing. `None` for an
+/// unknown id.
+pub fn figure(name: &str) -> Option<(Vec<Measurement>, fn(&[Measurement]) -> String)> {
     use ookami_hpcc::figures as hpcc;
     use ookami_loops::{fig1, fig2, sec4};
     use ookami_lulesh::table2;
     use ookami_npb::figures as npb;
-    let (rows, render): (Vec<Measurement>, fn(&[Measurement]) -> String) = match name {
-        "fig1" => (fig1::figure1(), fig1::render_figure1),
-        "fig2" => (fig2::figure2(), fig2::render_figure2),
-        "sec4" => (sec4::toolchain_ladder(), sec4::render_sec4),
-        "fig3" => (npb::figure3(), |r| {
+    let (rows, render): (fn() -> Vec<Measurement>, fn(&[Measurement]) -> String) = match name {
+        "fig1" => (fig1::figure1, fig1::render_figure1),
+        "fig2" => (fig2::figure2, fig2::render_figure2),
+        "sec4" => (sec4::toolchain_ladder, sec4::render_sec4),
+        "fig3" => (npb::figure3, |r| {
             render_pivot(r, "Fig. 3 — NPB class C single-core runtime (s)", "app", 0)
         }),
-        "fig4" => (npb::figure4(), |r| {
+        "fig4" => (npb::figure4, |r| {
             render_pivot(r, "Fig. 4 — NPB class C all-cores runtime (s)", "app", 1)
         }),
-        "fig5" => (npb::figure5(), |r| {
+        "fig5" => (npb::figure5, |r| {
             render_pivot(r, "Fig. 5 — NPB parallel efficiency, A64FX/GCC", "app", 2)
         }),
-        "fig6" => (npb::figure6(), |r| {
+        "fig6" => (npb::figure6, |r| {
             render_pivot(
                 r,
                 "Fig. 6 — NPB parallel efficiency, Skylake/Intel",
@@ -49,12 +57,12 @@ pub fn figure(name: &str) -> Option<(String, Vec<Measurement>)> {
                 2,
             )
         }),
-        "fig7" | "table2" => (table2::table2(), table2::render_table2),
-        "fig8" => (hpcc::figure8(), hpcc::render_figure8),
-        "fig9" => (hpcc::figure9(), hpcc::render_figure9),
+        "fig7" | "table2" => (table2::table2, table2::render_table2),
+        "fig8" => (hpcc::figure8, hpcc::render_figure8),
+        "fig9" => (hpcc::figure9, hpcc::render_figure9),
         _ => return None,
     };
-    Some((render(&rows), rows))
+    Some((rows(), render))
 }
 
 /// Every figure id, in paper order (`figure` also takes `table2` for
@@ -76,9 +84,9 @@ pub fn run_figures(which: &str, csv: bool) -> String {
     let mut out = String::new();
     for n in names {
         match figure(n) {
-            Some((_, rows)) if csv => out.push_str(&to_csv(&rows)),
-            Some((text, _)) => {
-                out.push_str(&text);
+            Some((rows, _)) if csv => out.push_str(&to_csv(&rows)),
+            Some((rows, render)) => {
+                out.push_str(&render(&rows));
                 out.push('\n');
             }
             None => out.push_str(&format!("unknown figure: {n}\n")),
@@ -160,8 +168,8 @@ mod tests {
     #[test]
     fn every_figure_renders() {
         for n in ALL_FIGURES {
-            let (text, rows) = figure(n).unwrap_or_else(|| panic!("missing {n}"));
-            assert!(!text.is_empty(), "{n} rendered empty");
+            let (rows, render) = figure(n).unwrap_or_else(|| panic!("missing {n}"));
+            assert!(!render(&rows).is_empty(), "{n} rendered empty");
             assert!(!rows.is_empty(), "{n} has no rows");
             assert!(
                 rows.iter().all(|r| r.value.is_finite()),

@@ -148,6 +148,27 @@ pub const COUNTERS: [Counter; Counter::COUNT] = [
     Counter::TimelineDroppedEvents,
 ];
 
+/// The counters every executor of one kernel must retire identically
+/// (interpreter, trace replayer, compiled closures, serial or parallel):
+/// retired instructions, active lanes, candidate-port pressure and the
+/// element counters. Byte counters are not in the set: they also count
+/// the harness's input staging, which the interpreter does differently.
+pub const IDENTITY_COUNTERS: [Counter; 13] = [
+    Counter::SveInstrs,
+    Counter::SveLanesActive,
+    Counter::PortFla,
+    Counter::PortFlb,
+    Counter::PortPr,
+    Counter::PortExa,
+    Counter::PortExb,
+    Counter::PortEaga,
+    Counter::PortEagb,
+    Counter::PortBr,
+    Counter::GatherElems,
+    Counter::ScatterElems,
+    Counter::FexpaIssues,
+];
+
 impl Counter {
     pub const COUNT: usize = 27;
 

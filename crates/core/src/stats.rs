@@ -72,6 +72,20 @@ impl Stats {
             0.5 * (s[n / 2 - 1] + s[n / 2])
         }
     }
+
+    /// Median absolute deviation from the median (unscaled): the spread
+    /// reported beside a median, robust to the odd slow sample.
+    pub fn mad(&self) -> f64 {
+        let m = self.median();
+        Stats::from_slice(
+            &self
+                .samples
+                .iter()
+                .map(|x| (x - m).abs())
+                .collect::<Vec<_>>(),
+        )
+        .median()
+    }
 }
 
 #[cfg(test)]
@@ -87,6 +101,8 @@ mod tests {
         assert_eq!(s.min(), 2.0);
         assert_eq!(s.max(), 9.0);
         assert_eq!(s.median(), 4.5);
+        // |x - 4.5| = 2.5, 0.5 ×5, 2.5, 4.5 -> median 0.5.
+        assert_eq!(s.mad(), 0.5);
     }
 
     #[test]
@@ -98,6 +114,8 @@ mod tests {
         assert_eq!(one.mean(), 3.0);
         assert_eq!(one.stddev(), 0.0);
         assert_eq!(one.median(), 3.0);
+        assert_eq!(one.mad(), 0.0);
+        assert!(empty.mad().is_nan());
     }
 
     #[test]

@@ -16,27 +16,24 @@ pub const FIG2_FUNCS: [MathFunc; 5] = [
     MathFunc::Pow,
 ];
 
-/// One Fig. 2 data point: clock-adjusted runtime relative to Intel/Skylake.
-pub fn relative_runtime(f: MathFunc, c: Compiler) -> f64 {
+/// All Fig. 2 rows: clock-adjusted runtime on A64FX under each compiler,
+/// relative to Intel on Skylake. Each function's Skylake kernel is priced
+/// once and shared by its four cells.
+pub fn figure2() -> Vec<Measurement> {
     let a = machines::a64fx();
     let s = machines::skylake_6140();
-    let t_a = math_cycles_per_element(f, c, a) / (a.turbo_1c_ghz * 1e9);
-    let t_s = math_cycles_per_element(f, Compiler::Intel, s) / (s.turbo_1c_ghz * 1e9);
-    t_a / t_s
-}
-
-/// All Fig. 2 rows.
-pub fn figure2() -> Vec<Measurement> {
     let mut out = Vec::new();
     for f in FIG2_FUNCS {
+        let t_s = math_cycles_per_element(f, Compiler::Intel, s) / (s.turbo_1c_ghz * 1e9);
         for c in Compiler::A64FX {
+            let t_a = math_cycles_per_element(f, c, a) / (a.turbo_1c_ghz * 1e9);
             out.push(Measurement::new(
                 "fig2",
                 f.label(),
                 "Ookami A64FX",
                 c.label(),
                 1,
-                relative_runtime(f, c),
+                t_a / t_s,
                 "runtime_rel_skx",
             ));
         }
@@ -57,6 +54,15 @@ pub fn render_figure2(rows: &[Measurement]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The Fig. 2 cell for `f` under `c`, read from [`figure2`]'s rows.
+    fn relative_runtime(f: MathFunc, c: Compiler) -> f64 {
+        figure2()
+            .into_iter()
+            .find(|r| r.workload == f.label() && r.toolchain == c.label())
+            .map(|r| r.value)
+            .expect("fig2 cell")
+    }
 
     #[test]
     fn fujitsu_is_best_and_near_clock_ratio_for_exp_sin() {

@@ -11,7 +11,7 @@
 //! other binaries' tests run in parallel threads of their own process,
 //! but never in this one.
 
-use ookami_core::obs;
+use ookami_core::obs::{self, Counter, IDENTITY_COUNTERS};
 use ookami_sve::{Pred, SveCtx, Trace, VVal};
 use proptest::prelude::*;
 use std::sync::Mutex;
@@ -30,39 +30,24 @@ fn pool_lock() -> std::sync::MutexGuard<'static, ()> {
 const THREADS: [usize; 4] = [1, 2, 4, 0];
 
 /// The deterministic counters that may not depend on the execution
-/// strategy (the same set `svereplay` gates across executors, plus the
-/// byte counters — within one engine the staging path is identical, so
-/// bytes must agree too). Scheduling counters (forked regions, barrier
-/// waits) are excluded: they legitimately vary with thread count.
-const IDENTITY_COUNTERS: [&str; 15] = [
-    "sve_instrs",
-    "sve_lanes_active",
-    "port_fla",
-    "port_flb",
-    "port_pr",
-    "port_exa",
-    "port_exb",
-    "port_eaga",
-    "port_eagb",
-    "port_br",
-    "gather_elems",
-    "scatter_elems",
-    "fexpa_issues",
-    "bytes_loaded",
-    "bytes_stored",
-];
+/// strategy: the executor-identity set plus the byte counters (within one
+/// engine the staging path is identical, so bytes must agree too).
+/// Scheduling counters (forked regions, barrier waits) are excluded: they
+/// legitimately vary with thread count.
+fn identity_counters() -> impl Iterator<Item = Counter> {
+    IDENTITY_COUNTERS
+        .into_iter()
+        .chain([Counter::BytesLoaded, Counter::BytesStored])
+}
 
-/// Global obs delta of `f`, projected onto [`IDENTITY_COUNTERS`].
+/// Global obs delta of `f`, projected onto [`identity_counters`].
 /// Global — not per-thread — because pool workers retire lanes on their
 /// own threads.
 fn global_delta(f: impl FnOnce()) -> Vec<u64> {
     let before = obs::snapshot();
     f();
     let d = obs::snapshot().since(&before);
-    IDENTITY_COUNTERS
-        .iter()
-        .map(|n| d.get(obs::Counter::from_name(n).expect("known counter")))
-        .collect()
+    identity_counters().map(|c| d.get(c)).collect()
 }
 
 /// In-kernel gather table (exercises the shared-captured-tables path:
@@ -190,7 +175,7 @@ proptest! {
             prop_assert_eq!(
                 &cs, &cp,
                 "replay counters diverge at {} thread(s) ({:?})",
-                th, IDENTITY_COUNTERS
+                th, identity_counters().map(Counter::name).collect::<Vec<_>>()
             );
         }
     }

@@ -6,7 +6,7 @@
 //! recorder would produce for the same kernel (modulo register naming,
 //! which is canonicalized by first appearance).
 
-use ookami_core::obs::{self, Counter};
+use ookami_core::obs::{self, Counter, IDENTITY_COUNTERS};
 use ookami_sve::{Pred, SveCtx, Trace, TraceBuilder, VVal};
 use ookami_uarch::{Instr, OpClass, Reg, Width};
 use proptest::prelude::*;
@@ -249,38 +249,13 @@ fn interp_instrs(vl: usize, prog: &[Op]) -> Vec<Instr> {
     ctx.take_recording()
 }
 
-/// The obs counters that must be **bit-identical** between interpreting a
-/// kernel and replaying its trace: retired-instruction, active-lane, and
-/// candidate-port totals plus the element counters. Byte counters are
-/// deliberately excluded — they also fire on the harness's own
-/// `input_f64`/`bind_f64` staging, which the two executors do differently.
-const IDENTITY_COUNTERS: [Counter; 13] = [
-    Counter::SveInstrs,
-    Counter::SveLanesActive,
-    Counter::PortFla,
-    Counter::PortFlb,
-    Counter::PortPr,
-    Counter::PortExa,
-    Counter::PortExb,
-    Counter::PortEaga,
-    Counter::PortEagb,
-    Counter::PortBr,
-    Counter::GatherElems,
-    Counter::ScatterElems,
-    Counter::FexpaIssues,
-];
-
 /// Run `f` on this thread and return the per-thread obs counter deltas it
 /// produced, projected onto [`IDENTITY_COUNTERS`].
 fn counter_delta(f: impl FnOnce()) -> [u64; IDENTITY_COUNTERS.len()] {
     let before = obs::thread_snapshot();
     f();
     let delta = obs::thread_snapshot().since(&before);
-    let mut out = [0u64; IDENTITY_COUNTERS.len()];
-    for (slot, &c) in out.iter_mut().zip(IDENTITY_COUNTERS.iter()) {
-        *slot = delta.get(c);
-    }
-    out
+    IDENTITY_COUNTERS.map(|c| delta.get(c))
 }
 
 proptest! {

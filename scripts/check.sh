@@ -29,11 +29,14 @@ cargo test -q --workspace --features obs
 # judges only what this run produced.
 rm -rf target/bench
 
-echo "== figure and accuracy reports (each in its committed baseline's obs mode)"
-# Regenerates BENCH_figures.json (fig1, without obs) and BENCH_accuracy.json
-# (with obs) so benchdiff below judges them against the committed files.
+echo "== figure, accuracy and fork/join reports (each in its committed baseline's obs mode)"
+# Regenerates BENCH_figures.json (fig1, without obs), BENCH_accuracy.json
+# (with obs) and BENCH_forkjoin.json (without obs) so benchdiff below
+# judges them against the committed files. forkjoin exits 1 unless the
+# pool is >= 5x cheaper than spawn-per-region at an 8-thread team.
 cargo run -p ookami-bench --bin figures --release -- fig1 >/dev/null
 cargo run -p ookami-bench --features obs --bin accuracy --release >/dev/null
+cargo run -p ookami-bench --bin forkjoin --release
 
 echo "== trace-replay + compiled-trace identity smoke (svereplay --smoke, both obs modes)"
 # The probe drives interpreter, replayer, and the compiled native path and
@@ -93,9 +96,9 @@ rm -f "$inject_out"
 
 echo "== static verifier + mutation corpus (ookamicheck, both obs modes)"
 cargo run -p ookami-bench --bin ookamicheck --release -- \
-  --mutations --json target/OOKAMICHECK.json
+  --mutations --out target/OOKAMICHECK.json
 cargo run -p ookami-bench --features obs --bin ookamicheck --release -- \
-  --mutations --json target/OOKAMICHECK.obs.json
+  --mutations --out target/OOKAMICHECK.obs.json
 cargo run -p ookami-bench --bin report --release -- \
   --validate target/OOKAMICHECK.json target/OOKAMICHECK.obs.json
 
@@ -105,9 +108,9 @@ echo "== translation validator (ookamicheck --tv, both obs modes)"
 # runs the 24-seed mutation self-test; the report schema is validated
 # like every other artifact.
 cargo run -p ookami-bench --bin ookamicheck --release -- \
-  --tv --json target/OOKAMICHECK.tv.json
+  --tv --out target/OOKAMICHECK.tv.json
 cargo run -p ookami-bench --features obs --bin ookamicheck --release -- \
-  --tv --json target/OOKAMICHECK.tv.obs.json
+  --tv --out target/OOKAMICHECK.tv.obs.json
 cargo run -p ookami-bench --bin report --release -- \
   --validate target/OOKAMICHECK.tv.json target/OOKAMICHECK.tv.obs.json
 # Self-test: a trail with a tampered stage and a bumped static counter

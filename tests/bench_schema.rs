@@ -43,6 +43,20 @@ fn every_committed_bench_file_validates() {
 }
 
 #[test]
+fn committed_bench_files_meet_the_bounds_table() {
+    // The committed baselines are what `benchdiff` holds each run to; a
+    // baseline that breaks a floor or ceiling of the probe harness's
+    // table would record a run its own probe rejected.
+    for path in committed_bench_files() {
+        let text = std::fs::read_to_string(&path).unwrap();
+        let doc =
+            Json::parse(&text).unwrap_or_else(|e| panic!("{} does not parse: {e}", path.display()));
+        let violations = ookami_bench::probe::judge(&doc).violations;
+        assert!(violations.is_empty(), "{}: {violations:?}", path.display());
+    }
+}
+
+#[test]
 fn committed_bench_files_reparse_with_counters_intact() {
     for path in committed_bench_files() {
         let text = std::fs::read_to_string(&path).unwrap();

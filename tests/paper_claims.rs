@@ -36,12 +36,12 @@ fn gnu_vectorization_holes() {
     }
 }
 
-/// The Fig. 1 cell for `kind` under `c`, read from the figure's rows.
-fn fig1_cell(rows: &[Measurement], kind: LoopKind, c: Compiler) -> f64 {
+/// The Fig. 1/2 cell for `workload` under `c`, read from the figure's rows.
+fn cell(rows: &[Measurement], workload: &str, c: Compiler) -> f64 {
     rows.iter()
-        .find(|r| r.workload == kind.label() && r.toolchain == c.label())
+        .find(|r| r.workload == workload && r.toolchain == c.label())
         .map(|r| r.value)
-        .expect("fig1 cell")
+        .expect("figure cell")
 }
 
 /// §III: "the Fujitsu toolchain delivers the highest performance for all
@@ -50,10 +50,10 @@ fn fig1_cell(rows: &[Measurement], kind: LoopKind, c: Compiler) -> f64 {
 fn fujitsu_leads_every_loop() {
     let rows = fig1::figure1();
     for kind in LoopKind::ALL {
-        let fuj = fig1_cell(&rows, kind, Compiler::Fujitsu);
+        let fuj = cell(&rows, kind.label(), Compiler::Fujitsu);
         for c in [Compiler::Cray, Compiler::Arm, Compiler::Gnu] {
             assert!(
-                fig1_cell(&rows, kind, c) >= fuj - 1e-9,
+                cell(&rows, kind.label(), c) >= fuj - 1e-9,
                 "{kind:?}: {c:?} beat fujitsu"
             );
         }
@@ -66,9 +66,9 @@ fn fujitsu_leads_every_loop() {
 #[test]
 fn fig1_shape() {
     let rows = fig1::figure1();
-    let simple = fig1_cell(&rows, LoopKind::Simple, Compiler::Fujitsu);
-    let pred = fig1_cell(&rows, LoopKind::Predicate, Compiler::Fujitsu);
-    let short_g = fig1_cell(&rows, LoopKind::ShortGather, Compiler::Fujitsu);
+    let simple = cell(&rows, LoopKind::Simple.label(), Compiler::Fujitsu);
+    let pred = cell(&rows, LoopKind::Predicate.label(), Compiler::Fujitsu);
+    let short_g = cell(&rows, LoopKind::ShortGather.label(), Compiler::Fujitsu);
     assert!((1.5..2.7).contains(&simple), "simple {simple}");
     assert!(pred > simple && pred > 2.2, "predicate {pred}");
     assert!(
@@ -95,11 +95,10 @@ fn exp_cycle_ladder() {
 /// using the Fujitsu or Cray compilers."
 #[test]
 fn thirty_x_cliff() {
-    let worst = MathFunc::ALL
+    let rows = fig2::figure2();
+    let worst = fig2::FIG2_FUNCS
         .iter()
-        .map(|&f| {
-            fig2::relative_runtime(f, Compiler::Gnu) / fig2::relative_runtime(f, Compiler::Fujitsu)
-        })
+        .map(|f| cell(&rows, f.label(), Compiler::Gnu) / cell(&rows, f.label(), Compiler::Fujitsu))
         .fold(0.0, f64::max);
     assert!(worst > 10.0, "worst gnu/fujitsu kernel ratio {worst}");
 }
