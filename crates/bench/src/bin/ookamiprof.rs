@@ -32,28 +32,25 @@ use ookami_vecmath::exp::{exp_slice_interp, exp_trace, ExpVariant};
 use ookami_vecmath::ulp::sample_range;
 use std::time::Instant;
 
+/// Where the collapsed-stack flamegraph export goes.
+const COLLAPSED: &str = "target/PROFILE.collapsed";
+
 fn identity(d: &Snapshot) -> [u64; 13] {
     IDENTITY_COUNTERS.map(|c| d.get(c))
 }
 
 fn main() {
-    let args = Cli {
+    let smoke = Cli {
         usage: "ookamiprof — span-tree profiler probe with span-record identity gates\n\n\
-                usage: ookamiprof [--smoke] [--out <path>] [--collapsed <path>]\n\n\
-                --smoke            CI-sized run (the bounds table applies to full runs only)\n\
-                --out <path>       report path (default target/bench/BENCH_prof.json)\n\
-                --collapsed <path> flamegraph export (default target/PROFILE.collapsed)",
+                usage: ookamiprof [--smoke]\n\n\
+                --smoke  CI-sized run (the bounds table applies to full runs only)\n\n\
+                writes target/bench/BENCH_prof.json and, with obs, the flamegraph\n\
+                export target/PROFILE.collapsed",
         switches: &["--smoke"],
-        valued: &["--out", "--collapsed"],
         ..Cli::default()
     }
-    .parse();
-    let smoke = args.has("--smoke");
-    let default_out = ookami_bench::bench_out("BENCH_prof.json");
-    let out_path = args.value("--out").unwrap_or(&default_out);
-    let collapsed_path = args
-        .value("--collapsed")
-        .unwrap_or("target/PROFILE.collapsed");
+    .parse()
+    .has("--smoke");
     if !obs::enabled() {
         eprintln!(
             "note: built without the `obs` feature — histograms and spans are \
@@ -191,11 +188,8 @@ fn main() {
         print!("{}", tree.render_table());
         let collapsed = tree.collapsed();
         spantree::parse_collapsed(&collapsed).expect("own collapsed export round-trips");
-        ookami_bench::write_or_exit(collapsed_path, |p| std::fs::write(p, &collapsed));
-        println!(
-            "wrote {collapsed_path} ({} stacks)",
-            collapsed.lines().count()
-        );
+        ookami_bench::write_or_exit(COLLAPSED, |p| std::fs::write(p, &collapsed));
+        println!("wrote {COLLAPSED} ({} stacks)", collapsed.lines().count());
     } else {
         for name in [
             "hist_counts_identical",
@@ -205,5 +199,5 @@ fn main() {
             probe.report.flag(name, "skipped");
         }
     }
-    probe.finish(out_path);
+    probe.finish(&ookami_bench::bench_out("BENCH_prof.json"));
 }

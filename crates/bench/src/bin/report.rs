@@ -3,11 +3,10 @@
 //!
 //! `cargo run --release -p ookami-bench --bin report > REPORT.txt`
 //!
-//! With `--validate <file>...` it instead checks each report file and
-//! exits nonzero on the first violation — the CI hook that keeps every
-//! probe's output loadable by the same tooling. Files are dispatched on
-//! their `schema` tag: `BENCH_*.json` (`ookami-bench-v1`) and the
-//! `ookamicheck` analyzer report (`ookamicheck-v1`) are both accepted.
+//! With `--validate <file>...` it instead checks each `BENCH_*.json`
+//! file against the `ookami-bench-v1` schema and exits nonzero on the
+//! first violation — the CI hook that keeps every probe's output loadable
+//! by the same tooling.
 //!
 //! With `--derive <file>` it prints the roofline / bottleneck table
 //! `obs::derive` computes from the file's counter snapshots (per span and
@@ -18,136 +17,6 @@ use ookami_bench::probe::{usage_error, Cli};
 /// Thread count `--derive` places the counters at: the probes' parallel
 /// sections run 4-thread regions.
 const DERIVE_THREADS: usize = 4;
-
-/// Shape-check an `ookamicheck-v1` document (written by the
-/// `ookamicheck` bin): per-program diagnostic counts plus the race
-/// summary, everything CI consumes from the uploaded artifact.
-fn validate_ookamicheck_json(text: &str) -> Result<(), String> {
-    use ookami_core::obs::Json;
-    let v = Json::parse(text)?;
-    let Json::Obj(obj) = &v else {
-        return Err("top level must be an object".to_string());
-    };
-    let Some(Json::Arr(programs)) = obj.get("programs") else {
-        return Err("`programs` must be an array".to_string());
-    };
-    for (i, p) in programs.iter().enumerate() {
-        let Json::Obj(m) = p else {
-            return Err(format!("`programs[{i}]` must be an object"));
-        };
-        match m.get("program") {
-            Some(Json::Str(s)) if !s.is_empty() => {}
-            _ => {
-                return Err(format!(
-                    "`programs[{i}].program` must be a non-empty string"
-                ))
-            }
-        }
-        for key in ["instructions", "errors", "warnings"] {
-            match m.get(key) {
-                Some(Json::Num(n)) if *n >= 0.0 => {}
-                _ => {
-                    return Err(format!(
-                        "`programs[{i}].{key}` must be a non-negative number"
-                    ))
-                }
-            }
-        }
-        if !matches!(m.get("diagnostics"), Some(Json::Arr(_))) {
-            return Err(format!("`programs[{i}].diagnostics` must be an array"));
-        }
-    }
-    let Some(Json::Obj(race)) = obj.get("race") else {
-        return Err("`race` must be an object".to_string());
-    };
-    for key in ["events", "races"] {
-        if !matches!(race.get(key), Some(Json::Num(_))) {
-            return Err(format!("`race.{key}` must be a number"));
-        }
-    }
-    if !matches!(obj.get("failures"), Some(Json::Num(_))) {
-        return Err("`failures` must be a number".to_string());
-    }
-    Ok(())
-}
-
-/// Shape-check an `ookamicheck-tv-v1` document (written by `ookamicheck
-/// --tv`): per-trace translation-validation outcomes plus the mutation
-/// self-test tallies.
-fn validate_ookamicheck_tv_json(text: &str) -> Result<(), String> {
-    use ookami_core::obs::Json;
-    let v = Json::parse(text)?;
-    let Json::Obj(obj) = &v else {
-        return Err("top level must be an object".to_string());
-    };
-    let Some(Json::Arr(traces)) = obj.get("traces") else {
-        return Err("`traces` must be an array".to_string());
-    };
-    for (i, t) in traces.iter().enumerate() {
-        let Json::Obj(m) = t else {
-            return Err(format!("`traces[{i}]` must be an object"));
-        };
-        match m.get("trace") {
-            Some(Json::Str(s)) if !s.is_empty() => {}
-            _ => return Err(format!("`traces[{i}].trace` must be a non-empty string")),
-        }
-        match m.get("errors") {
-            Some(Json::Num(n)) if *n >= 0.0 => {}
-            _ => {
-                return Err(format!(
-                    "`traces[{i}].errors` must be a non-negative number"
-                ))
-            }
-        }
-        if !matches!(m.get("counters_checked"), Some(Json::Bool(_))) {
-            return Err(format!("`traces[{i}].counters_checked` must be a bool"));
-        }
-    }
-    let Some(Json::Arr(challenge)) = obj.get("challenge") else {
-        return Err("`challenge` must be an array".to_string());
-    };
-    for (i, c) in challenge.iter().enumerate() {
-        let Json::Obj(m) = c else {
-            return Err(format!("`challenge[{i}]` must be an object"));
-        };
-        match m.get("base") {
-            Some(Json::Str(s)) if !s.is_empty() => {}
-            _ => return Err(format!("`challenge[{i}].base` must be a non-empty string")),
-        }
-        for key in ["rejected", "divergent"] {
-            match m.get(key) {
-                Some(Json::Num(n)) if *n >= 0.0 => {}
-                _ => {
-                    return Err(format!(
-                        "`challenge[{i}].{key}` must be a non-negative number"
-                    ))
-                }
-            }
-        }
-    }
-    if !matches!(obj.get("failures"), Some(Json::Num(_))) {
-        return Err("`failures` must be a number".to_string());
-    }
-    Ok(())
-}
-
-/// Dispatch on the document's `schema` tag so one `--validate` invocation
-/// covers every report kind the repo writes.
-fn validate_any(text: &str) -> Result<(), String> {
-    use ookami_core::obs::Json;
-    let tag = match Json::parse(text)? {
-        Json::Obj(m) => match m.get("schema") {
-            Some(Json::Str(s)) => s.clone(),
-            other => return Err(format!("`schema` must be a string, got {other:?}")),
-        },
-        _ => return Err("top level must be an object".to_string()),
-    };
-    match tag.as_str() {
-        "ookamicheck-v1" => validate_ookamicheck_json(text),
-        "ookamicheck-tv-v1" => validate_ookamicheck_tv_json(text),
-        _ => ookami_core::obs::validate_bench_json(text),
-    }
-}
 
 fn run_derive(file: &str) -> ! {
     let text = std::fs::read_to_string(file).unwrap_or_else(|e| {
@@ -188,8 +57,7 @@ fn main() {
                 \n\
                 usage:\n\
                 \x20 report                         full report on stdout\n\
-                \x20 report --validate <file>...    schema-check report files\n\
-                \x20                                (BENCH_*.json, OOKAMICHECK*.json)\n\
+                \x20 report --validate <file>...    schema-check BENCH_*.json files\n\
                 \x20 report --derive <file>         roofline/bottleneck table from a\n\
                 \x20                                BENCH_*.json with counters, at the\n\
                 \x20                                probes' 4 threads",
@@ -217,7 +85,7 @@ fn main() {
                     std::process::exit(1);
                 }
             };
-            match validate_any(&text) {
+            match ookami_core::obs::validate_bench_json(&text) {
                 Ok(()) => println!("OK {f}"),
                 Err(e) => {
                     eprintln!("FAIL {f}: {e}");

@@ -6,8 +6,7 @@
 //! **bit-identical**, the obs counters **exactly equal**, and that the
 //! trace lowers to the **same instruction stream** the interpreter records
 //! (modulo register naming), then measures elements/second and writes
-//! `target/bench/BENCH_sve.json` plus a per-variant pass-pipeline summary to
-//! `target/COMPILE_REPORT.json`. Run with:
+//! `target/bench/BENCH_sve.json`. Run with:
 //!
 //! ```text
 //! cargo run -p ookami-bench --bin svereplay --release [--smoke]
@@ -109,7 +108,6 @@ fn main() {
     let mut bit_identical = true;
     let mut instrs_identical = true;
     let mut counters_identical = true;
-    let mut compile_reports = Vec::new();
     for v in VARIANTS {
         let want = exp_slice_interp(vl, &xs, v);
         let t = exp_trace(vl, v);
@@ -133,7 +131,6 @@ fn main() {
             ct.is_native(),
             format_args!("{v:?} was rejected by the native-compilation gate"),
         );
-        compile_reports.push((format!("{v:?}"), ct.report()));
 
         // Counter identity across the three executors (vacuous without
         // obs): the kernel's retired-op totals must not depend on the
@@ -298,33 +295,6 @@ fn main() {
             .metric(&format!("replay_par{th}_elems_per_sec"), n as f64 / r)
             .metric(&format!("compiled_par{th}_elems_per_sec"), n as f64 / c);
     }
-
-    // Per-variant pass-pipeline summary (uploaded as a CI artifact).
-    let entries: Vec<String> = compile_reports
-        .iter()
-        .map(|(name, r)| {
-            format!(
-                "{{\"variant\": \"{name}\", \"native\": {}, \"body_ops\": {}, \
-                 \"opt_ops\": {}, \"kernels\": {}, \"fused\": {}, \"folded\": {}, \
-                 \"pred_simplified\": {}, \"dead_removed\": {}}}",
-                r.native,
-                r.body_ops,
-                r.opt_ops,
-                r.kernels,
-                r.fused,
-                r.folded,
-                r.pred_simplified,
-                r.dead_removed
-            )
-        })
-        .collect();
-    let doc = format!(
-        "{{\n\"schema\": \"compile-report-v1\",\n\"traces\": [\n{}\n]\n}}\n",
-        entries.join(",\n")
-    );
-    obs::Json::parse(&doc).expect("compile report must be valid JSON");
-    ookami_bench::write_or_exit("target/COMPILE_REPORT.json", |p| std::fs::write(p, &doc));
-    println!("wrote target/COMPILE_REPORT.json");
 
     probe.finish(&ookami_bench::bench_out("BENCH_sve.json"));
 }

@@ -9,9 +9,9 @@
 //!   `--derive <file>` on report files);
 //! * probes, each writing a `target/bench/BENCH_*.json` report and
 //!   described in its own module doc: `svereplay`, `spmv`, `cachesim`,
-//!   `forkjoin`, `ookamistat` and `ookamiprof`;
-//! * gates: `benchdiff` (current reports vs the committed baselines) and
-//!   `ookamicheck` (static verifier, translation validator, race check).
+//!   `forkjoin`, `ookamistat`, `ookamiprof` and `ookamicheck` (static
+//!   verifier, translation validator, race check);
+//! * the gate `benchdiff` (current reports vs the committed baselines).
 //!
 //! Every binary parses its arguments, and every probe runs, writes and
 //! judges its report, through [`probe`]. Each regenerator evaluates its
@@ -143,8 +143,8 @@ pub fn run_tables(which: &str) -> String {
 }
 
 /// Where a probe run writes its `BENCH_*.json` report: `target/bench/<file>`,
-/// relative to the current directory like `target/COMPILE_REPORT.json`, so
-/// a run from the repo root never touches the committed baselines there.
+/// relative to the current directory, so a run from the repo root never
+/// touches the committed baselines there.
 /// Promoting a run to the baseline is a copy: `cp target/bench/BENCH_x.json .`.
 pub fn bench_out(file: &str) -> String {
     format!("target/bench/{file}")

@@ -272,6 +272,11 @@ impl Probe {
         ok
     }
 
+    /// Whether every check recorded so far passed.
+    pub fn checks_ok(&self) -> bool {
+        self.checks_ok
+    }
+
     /// Write the ratio `name` as the median of `p`'s per-pair ratios,
     /// with its MAD as `<name>_mad`. Returns the median.
     pub fn ratio(&mut self, name: &str, p: &Pairs) -> f64 {

@@ -1,5 +1,4 @@
-//! Diagnostics: stable codes, severities, source-span-style rendering,
-//! and machine-readable JSON output.
+//! Diagnostics: stable codes, severities and source-span-style rendering.
 //!
 //! Codes are stable across releases (golden corpus files assert them):
 //! `OC0xxx` are errors (the verifier's exit status is non-zero if any is
@@ -260,56 +259,5 @@ pub fn render_all(p: &Program, diags: &[Diag]) -> String {
         "{}: {errors} error(s), {warnings} warning(s)\n",
         p.name
     ));
-    out
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Machine-readable report for one program: parses with the in-repo
-/// `ookami_core::obs::Json` parser (asserted by tests).
-pub fn to_json(p: &Program, diags: &[Diag]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"program\": {},\n", json_escape(&p.name)));
-    out.push_str(&format!("  \"instructions\": {},\n", p.instrs.len()));
-    out.push_str(&format!(
-        "  \"errors\": {},\n",
-        diags.iter().filter(|d| d.is_error()).count()
-    ));
-    out.push_str(&format!(
-        "  \"warnings\": {},\n",
-        diags.iter().filter(|d| !d.is_error()).count()
-    ));
-    out.push_str("  \"diagnostics\": [");
-    for (i, d) in diags.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\"code\": {}, \"severity\": {}, \"index\": {}, \"message\": {}, \"instr\": {}}}",
-            json_escape(d.code.as_str()),
-            json_escape(d.code.severity().as_str()),
-            d.index,
-            json_escape(&d.message),
-            json_escape(&p.render_instr(d.index)),
-        ));
-    }
-    out.push_str("\n  ]\n}\n");
     out
 }

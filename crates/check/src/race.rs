@@ -17,8 +17,7 @@
 //! happens-before the other (vector clocks incomparable). The pool's
 //! schedules claim each index exactly once per region, so shipped
 //! kernels must report zero races; [`injected_race_events`] builds the
-//! overlapping-write stream the self-test (and `ookamicheck
-//! --inject-race`) must flag.
+//! overlapping-write stream the self-tests must flag.
 
 use std::collections::HashMap;
 
@@ -173,9 +172,9 @@ pub fn detect_races(events: &[TimelineEvent]) -> Vec<Race> {
 }
 
 /// A synthetic event stream with an overlapping-write bug: two worker
-/// threads of one region both write indices `[40, 60)` of loop 7. Used by
-/// the `--inject-race` self-test — the detector must flag exactly this
-/// overlap (and nothing in the surrounding well-formed traffic).
+/// threads of one region both write indices `[40, 60)` of loop 7. The
+/// detector must flag exactly this overlap (and nothing in the
+/// surrounding well-formed traffic).
 pub fn injected_race_events() -> Vec<TimelineEvent> {
     let ev = |tid, ts_ns, payload| TimelineEvent {
         tid,

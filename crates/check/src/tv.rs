@@ -843,8 +843,8 @@ pub enum MutantVerdict {
 
 /// Mutate stage `seed % 3 + 1` of `trail` (keeping that stage's original
 /// witness) and check the pair against its untouched predecessor. The
-/// gate in `ookamicheck --tv` requires every seed to come back
-/// `Rejected` or `Divergent`.
+/// `ookamicheck` gate requires every seed to come back `Rejected` or
+/// `Divergent`.
 pub fn challenge(trail: &PassTrail, seed: u64) -> MutantVerdict {
     let k = (seed as usize % 3) + 1;
     let s = &trail.stages[k - 1];

@@ -309,6 +309,7 @@ mod tests {
     }
 
     #[test]
+    #[ignore = "class A: run by check.sh"]
     fn class_a_zeta_matches_official_verification() {
         let r = run(Class::A, 8);
         let want = reference_zeta(Class::A).unwrap();

@@ -121,6 +121,7 @@ mod tests {
     }
 
     #[test]
+    #[ignore = "class A: run by check.sh"]
     fn class_a_matches_official_verification() {
         // 2^28 pairs — the largest class with spot-published sums we check.
         let r = run(Class::A, 8);

@@ -24,6 +24,10 @@ echo "== per-crate test suites, both obs modes (timeline/schedule proptests live
 cargo test -q --workspace
 cargo test -q --workspace --features obs
 
+echo "== NPB class-A verifications (ignored by tier-1), both obs modes"
+cargo test -q -p ookami-npb -- --ignored
+cargo test -q -p ookami-npb --features ookami-core/obs -- --ignored
+
 # Probes write their reports to target/bench/, never over the committed
 # baselines at the repo root; start from an empty directory so benchdiff
 # judges only what this run produced.
@@ -41,8 +45,7 @@ cargo run -p ookami-bench --bin forkjoin --release
 echo "== trace-replay + compiled-trace identity smoke (svereplay --smoke, both obs modes)"
 # The probe drives interpreter, replayer, and the compiled native path and
 # asserts bit/instruction identity in both builds; with obs it additionally
-# asserts exact counter identity across all three executors. Each run also
-# rewrites target/COMPILE_REPORT.json (pass-pipeline stats per variant).
+# asserts exact counter identity across all three executors.
 cargo run -p ookami-bench --bin svereplay --release -- --smoke
 cargo run -p ookami-bench --features obs --bin svereplay --release -- --smoke
 
@@ -73,6 +76,13 @@ cargo run -p ookami-bench --features obs --bin ookamiprof --release -- --smoke
 cargo run -p ookami-bench --bin report --release -- --validate target/bench/BENCH_prof.json
 test -s target/PROFILE.collapsed
 
+echo "== static verifier, mutation self-tests, translation validator and race gate (ookamicheck, obs on)"
+# One run writes BENCH_check.json: the 66 shipped programs must verify
+# clean, the corpus and trace mutants must be judged as expected, every
+# family trace must prove pass-by-pass, and the pool kernels' timeline
+# must replay race-free.
+cargo run -p ookami-bench --features obs --bin ookamicheck --release
+
 echo "== bench-trajectory gate (benchdiff vs committed baselines)"
 cargo run -p ookami-bench --features obs --bin benchdiff --release -- \
   --baseline . --current target/bench --out target/BENCHDIFF.json
@@ -93,44 +103,6 @@ if ! grep -q "top counter deltas vs baseline" "$inject_out"; then
   exit 1
 fi
 rm -f "$inject_out"
-
-echo "== static verifier + mutation corpus (ookamicheck, both obs modes)"
-cargo run -p ookami-bench --bin ookamicheck --release -- \
-  --mutations --out target/OOKAMICHECK.json
-cargo run -p ookami-bench --features obs --bin ookamicheck --release -- \
-  --mutations --out target/OOKAMICHECK.obs.json
-cargo run -p ookami-bench --bin report --release -- \
-  --validate target/OOKAMICHECK.json target/OOKAMICHECK.obs.json
-
-echo "== translation validator (ookamicheck --tv, both obs modes)"
-# Proves every family trace pass-by-pass through the compiler pipeline
-# (abstract-domain equivalence, bounds re-proof, counter recipes) and
-# runs the 24-seed mutation self-test; the report schema is validated
-# like every other artifact.
-cargo run -p ookami-bench --bin ookamicheck --release -- \
-  --tv --out target/OOKAMICHECK.tv.json
-cargo run -p ookami-bench --features obs --bin ookamicheck --release -- \
-  --tv --out target/OOKAMICHECK.tv.obs.json
-cargo run -p ookami-bench --bin report --release -- \
-  --validate target/OOKAMICHECK.tv.json target/OOKAMICHECK.tv.obs.json
-# Self-test: a trail with a tampered stage and a bumped static counter
-# must both be flagged (exit 1).
-if cargo run -p ookami-bench --bin ookamicheck --release -- \
-  --inject-tv >/dev/null 2>&1; then
-  echo "ookamicheck failed to flag the injected TV defects" >&2
-  exit 1
-fi
-
-echo "== race detector over real pool kernels (obs timeline) + inject self-test"
-# Under obs the binary replays recorded timeline events from the shipped
-# kernels and requires zero races; without obs it prints a SKIPPED notice.
-cargo run -p ookami-bench --features obs --bin ookamicheck --release
-# Self-test: the injected unordered-write stream must be flagged (exit 1).
-if cargo run -p ookami-bench --features obs --bin ookamicheck --release -- \
-  --inject-race >/dev/null 2>&1; then
-  echo "ookamicheck failed to flag the injected race" >&2
-  exit 1
-fi
 
 echo "== miri (strict provenance) over the pool runtime, if available"
 if cargo miri --version >/dev/null 2>&1; then
