@@ -13,7 +13,15 @@
 //!   stream through a cold `ookami_mem::CacheSim` as it is generated
 //!   (`memtrace::AddrStream::simulate`, no materialized trace) —
 //!   `l1_l2_lines()` and `l2_mem_lines()` per cache line of work feed
-//!   `obs::derive::ecm`.
+//!   `obs::derive::ecm`. The stream arrives as line runs: consecutive
+//!   elements whose accesses stay on the same lines, such as the 32
+//!   elements of a STREAM line group at 256-B lines. `CacheSim::repeat`
+//!   walks a run's round of accesses only until one pass hits L1 on every
+//!   line, and counts the remaining passes as L1 hits. Under true LRU
+//!   such a pass changes no set's contents or recency order, so the
+//!   counts equal the element-by-element replay exactly
+//!   (`tests/ecm_traffic.rs` pins them). Every call still simulates every
+//!   family from a cold hierarchy.
 //!
 //! Normalization: a "unit of work" is one useful element (a stored
 //! nonzero for SpMV, an array element for STREAM/stencil), and rows are
@@ -176,7 +184,9 @@ pub fn ecm_families(m: &Machine, vl: usize) -> Vec<FamilyEcm> {
     }
 
     for (name, st) in [("stencil4", ecm_stencil4()), ("stencil7", ecm_stencil7())] {
-        let t = st.trace(&st.field(), vl, vl as u32);
+        // The row reads only the recorded instruction mix, which does not
+        // depend on the field's values: record over zeros.
+        let t = st.trace(&vec![0.0; st.n], vl, vl as u32);
         rows.push(row(
             name,
             m,

@@ -7,6 +7,10 @@
 //! 256-byte line versus the x86 64-byte line, and in tests of the gather
 //! analysis.
 //!
+//! A round of accesses made many times in a row goes through
+//! [`CacheSim::repeat`], which walks passes only until one hits L1 on
+//! every line and counts the rest.
+//!
 //! Two drivers share the level machinery: the serial [`CacheSim`] and the
 //! [`ShardedCacheSim`], which partitions the hierarchy by set index across
 //! the worker pool so full-sweep replays stop being serial. Sharding is
@@ -311,6 +315,50 @@ impl CacheSim {
         }
     }
 
+    /// Make the accesses of `round` `reps` times in a row: the same
+    /// stats and the same later behaviour as [`CacheSim::replay`] over
+    /// `round` repeated `reps` times.
+    ///
+    /// Passes are walked until one hits L1 on every line; the passes
+    /// left are added to `accesses` and `l1_hits` without touching a set.
+    /// That is exact under true LRU. An all-hit pass fills nothing, so
+    /// every set keeps its lines and the next pass hits them all again.
+    /// It leaves each set's recency order as the pass itself sets it, so
+    /// every later pass ends in that same order. Skipping them leaves
+    /// the L1 stamps in the same relative order, and L2 and L3 are never
+    /// reached. A round with more lines in one set than the set has ways
+    /// never has an all-hit pass, so it is walked in full.
+    #[inline]
+    pub fn repeat(&mut self, round: &[(u64, usize)], reps: usize) {
+        if reps == 1 {
+            for &(addr, bytes) in round {
+                self.access(addr, bytes);
+            }
+        } else {
+            self.repeat_passes(round, reps);
+        }
+    }
+
+    /// The passes of [`CacheSim::repeat`]. Kept out of line so that
+    /// callers inline only the one-pass walk: every run of a gather
+    /// stream is one element, and inlining this loop at each run site
+    /// costs those streams more than the call.
+    #[inline(never)]
+    fn repeat_passes(&mut self, round: &[(u64, usize)], reps: usize) {
+        for left in (0..reps as u64).rev() {
+            let (accesses, l1_hits) = (self.stats.accesses, self.stats.l1_hits);
+            for &(addr, bytes) in round {
+                self.access(addr, bytes);
+            }
+            let lines = self.stats.accesses - accesses;
+            if self.stats.l1_hits - l1_hits == lines {
+                self.stats.accesses += left * lines;
+                self.stats.l1_hits += left * lines;
+                return;
+            }
+        }
+    }
+
     /// Replay a slice of (addr, bytes) accesses.
     pub fn replay(&mut self, trace: impl IntoIterator<Item = (u64, usize)>) -> AccessStats {
         let before = self.stats;
@@ -563,6 +611,35 @@ mod tests {
         // ... but hit in the big L2 after the first 5 cold misses.
         assert_eq!(st.mem, 5, "{st:?}");
         assert_eq!(st.l2_hits, 45, "{st:?}");
+    }
+
+    #[test]
+    fn repeat_walks_a_pass_that_evicts_a_line_it_needs() {
+        // 8 sets × 2 ways: lines 0, 8 and 16 share set 0. After [0, 8],
+        // the round [0, 8, 16] hits twice and then misses, evicting line
+        // 0, so every later pass misses in full.
+        let spec = MemSpec {
+            line_bytes: 64,
+            l1_bytes: 64 * 2 * 8,
+            l1_assoc: 2,
+            l1_latency: 4.0,
+            l2_bytes: 1 << 20,
+            l2_assoc: 16,
+            l2_latency: 14.0,
+            l2_shared_by: 1,
+            l3: None,
+            mem_latency: 200.0,
+            l1_l2_bytes_per_cycle: 32.0,
+        };
+        let round = [(0, 8), (8 * 64, 8), (16 * 64, 8)];
+        let mut fast = CacheSim::new(spec);
+        let mut flat = CacheSim::new(spec);
+        fast.replay(round[..2].iter().copied());
+        flat.replay(round[..2].iter().copied());
+        fast.repeat(&round, 10);
+        flat.replay(round.iter().copied().cycle().take(30));
+        assert_eq!(fast.stats, flat.stats);
+        assert_eq!(fast.stats.l1_hits, 2, "{:?}", fast.stats);
     }
 
     #[test]

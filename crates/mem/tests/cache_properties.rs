@@ -1,6 +1,7 @@
 //! Property tests for the cache simulator: capacity, LRU and determinism
 //! invariants that must hold for arbitrary traces, and exact agreement
-//! with a textbook-LRU oracle on random geometries.
+//! with a textbook-LRU oracle on random geometries, for flat replay and
+//! for `CacheSim::repeat`.
 
 use ookami_mem::cache::CacheSim;
 use ookami_mem::{AccessStats, ShardedCacheSim};
@@ -254,8 +255,61 @@ fn oracle_trace_strategy() -> impl Strategy<Value = Vec<(u64, usize)>> {
     )
 }
 
+/// Rounds for `CacheSim::repeat`: a small window (lines repeated inside
+/// the round), line-spanning accesses, and power-of-two strides that can
+/// put more lines in one set than it has ways, so that no pass hits in
+/// full.
+fn round_strategy() -> impl Strategy<Value = Vec<(u64, usize)>> {
+    prop::collection::vec(
+        prop_oneof![
+            (0u64..1 << 9, 1usize..16).prop_map(|(a, b)| (a, b)),
+            (0u64..1 << 12, 16usize..600).prop_map(|(a, b)| (a, b)),
+            (0u64..24, 4u32..14).prop_map(|(i, k)| (i << k, 8usize)),
+        ],
+        1..24,
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// `repeat(round, reps)` leaves every `AccessStats` field equal to
+    /// `reps` flat passes of `round` and to the textbook oracle, and so
+    /// does a trace replayed after it (the state it leaves behind behaves
+    /// the same). The warm-up ends with part of the round, so a first
+    /// pass can hit almost everywhere and still evict a line it needs.
+    #[test]
+    fn repeat_equals_flat_passes_and_textbook_lru(
+        g in geometry_strategy(),
+        trace in oracle_trace_strategy(),
+        round in round_strategy(),
+        cut in 0usize..24,
+        reps in 0usize..40,
+        after in oracle_trace_strategy(),
+    ) {
+        let mut warm = trace;
+        warm.extend_from_slice(&round[..cut.min(round.len())]);
+        let passes: Vec<(u64, usize)> =
+            round.iter().copied().cycle().take(round.len() * reps).collect();
+        let mut oracle = LruOracle::new(&g);
+        let mut flat = CacheSim::new(g.spec());
+        let mut fast = CacheSim::new(g.spec());
+        oracle.replay(&warm);
+        flat.replay(warm.iter().copied());
+        fast.replay(warm.iter().copied());
+
+        oracle.replay(&passes);
+        flat.replay(passes.iter().copied());
+        fast.repeat(&round, reps);
+        prop_assert_eq!(fast.stats, flat.stats, "{:?} x{}", g, reps);
+        prop_assert_eq!(fast.stats, oracle.stats, "{:?} x{}", g, reps);
+
+        oracle.replay(&after);
+        flat.replay(after.iter().copied());
+        fast.replay(after.iter().copied());
+        prop_assert_eq!(fast.stats, flat.stats, "{:?} x{} then more", g, reps);
+        prop_assert_eq!(fast.stats, oracle.stats, "{:?} x{} then more", g, reps);
+    }
 
     /// Every `AccessStats` field of the serial simulator, the sharded
     /// simulator's serial replay and its pool replay equals the textbook

@@ -9,6 +9,19 @@
 //! trace ([`simulate`]).
 //! Arrays live at disjoint 4 GiB-aligned bases so they never alias.
 //!
+//! Each family's one generator, [`AddrStream::for_each_run`], emits the
+//! stream as runs: consecutive elements whose accesses stay on the same
+//! lines. A run is the first element's round of accesses and a count;
+//! element `j` of the run makes each access `8·j` bytes further on.
+//! [`AddrStream::for_each`] and the materialized traces expand the runs,
+//! so they visit every access in kernel order. [`AddrStream::simulate`]
+//! hands each run to [`CacheSim::repeat`]: a line-level simulator sees
+//! the same lines from every element of a run, so replaying the first
+//! round `count` times is the run, exactly. A STREAM run is the rest of
+//! a line (32 elements at 256-B lines, 8 at 64-B lines); a stencil run
+//! ends where any neighbour crosses a line or wraps; CRS and SELL-C-σ
+//! runs are one element, because their `x` gathers break every run.
+//!
 //! A writeback simplification is deliberate: stores count as accesses at
 //! the store's address (write-allocate), and dirty-eviction traffic is
 //! not modeled separately — consistent with how the rest of the repo's
@@ -28,8 +41,9 @@ const PTR_BASE: u64 = 5 << 32;
 const B_BASE: u64 = 6 << 32;
 
 /// One family's element-level address stream. Each variant has exactly
-/// one generator, [`AddrStream::for_each`]; the materialized traces and
-/// the cold-cache replay are both views of it, so they cannot disagree.
+/// one generator, [`AddrStream::for_each_run`]; the materialized traces
+/// and the cold-cache replay are both views of it, so they cannot
+/// disagree.
 #[derive(Debug, Clone, Copy)]
 pub enum AddrStream<'a> {
     /// CRS SpMV: per row, one row-pointer load, then `val[j]` + `col[j]` +
@@ -48,19 +62,28 @@ pub enum AddrStream<'a> {
 }
 
 impl AddrStream<'_> {
-    /// Call `visit(addr, bytes)` for every access, in kernel order.
-    #[inline]
-    pub fn for_each(self, mut visit: impl FnMut(u64, usize)) {
+    /// Call `visit(round, count)` for every run, in kernel order: `count`
+    /// consecutive elements whose accesses stay on the same `line_bytes`
+    /// lines. `round` is the first element's accesses; element `j` of the
+    /// run makes each of them `8·j` bytes further on.
+    pub fn for_each_run(self, line_bytes: usize, mut visit: impl FnMut(&[(u64, usize)], usize)) {
+        // Elements per line: every access is one f64, and the bases are
+        // line-aligned, so element `p` of an array starts a line exactly
+        // when `p % per_line == 0`.
+        let per_line = (line_bytes / 8).max(1);
         match self {
             AddrStream::Crs(m) => {
                 for r in 0..m.n_rows {
-                    visit(PTR_BASE + 8 * r as u64, 8);
+                    visit(&[(PTR_BASE + 8 * r as u64, 8)], 1);
                     for j in m.ptr[r]..m.ptr[r + 1] {
-                        visit(VAL_BASE + 8 * j as u64, 8);
-                        visit(COL_BASE + 8 * j as u64, 8);
-                        visit(X_BASE + 8 * m.col[j] as u64, 8);
+                        let round = [
+                            (VAL_BASE + 8 * j as u64, 8),
+                            (COL_BASE + 8 * j as u64, 8),
+                            (X_BASE + 8 * m.col[j] as u64, 8),
+                        ];
+                        visit(&round, 1);
                     }
-                    visit(Y_BASE + 8 * r as u64, 8);
+                    visit(&[(Y_BASE + 8 * r as u64, 8)], 1);
                 }
             }
             AddrStream::Sell(s) => {
@@ -70,37 +93,70 @@ impl AddrStream<'_> {
                     for j in 0..s.chunk_len[ck] {
                         for l in 0..s.c {
                             let o = s.chunk_ptr[ck] + j * s.c + l;
-                            visit(VAL_BASE + 8 * o as u64, 8);
-                            visit(COL_BASE + 8 * o as u64, 8);
+                            let v = (VAL_BASE + 8 * o as u64, 8);
+                            let c = (COL_BASE + 8 * o as u64, 8);
                             if l < rows && j < s.row_len[p0 + l] {
-                                visit(X_BASE + 8 * s.col[o] as u64, 8);
+                                visit(&[v, c, (X_BASE + 8 * s.col[o] as u64, 8)], 1);
+                            } else {
+                                visit(&[v, c], 1);
                             }
                         }
                     }
                     for l in 0..rows {
-                        visit(Y_BASE + 8 * s.row_order[p0 + l] as u64, 8);
+                        visit(&[(Y_BASE + 8 * s.row_order[p0 + l] as u64, 8)], 1);
                     }
                 }
             }
             AddrStream::Stream(k, n) => {
-                for i in 0..n {
-                    visit(X_BASE + 8 * i as u64, 8);
+                let mut i = 0;
+                while i < n {
+                    // All arrays sit at the same offset in their lines,
+                    // so a run is the rest of element `i`'s line.
+                    let count = (per_line - i % per_line).min(n - i);
+                    let a = 8 * i as u64;
+                    let (x, b, y) = ((X_BASE + a, 8), (B_BASE + a, 8), (Y_BASE + a, 8));
                     if k.inputs() == 2 {
-                        visit(B_BASE + 8 * i as u64, 8);
+                        visit(&[x, b, y], count);
+                    } else {
+                        visit(&[x, y], count);
                     }
-                    visit(Y_BASE + 8 * i as u64, 8);
+                    i += count;
                 }
             }
             AddrStream::Stencil(st) => {
-                for i in 0..st.n {
-                    for &d in &st.offsets {
-                        visit(X_BASE + 8 * (((i + d) & (st.n - 1)) as u64), 8);
+                let mut round = Vec::with_capacity(st.points() + 1);
+                let mut i = 0;
+                while i < st.n {
+                    round.clear();
+                    // The neighbor sites, then the center, each read up to
+                    // the end of its line or the lattice's wrap; the store
+                    // shares the center's line offset.
+                    let mut count = st.n - i;
+                    for p in st.offsets.iter().map(|&d| (i + d) & (st.n - 1)).chain([i]) {
+                        count = count.min(per_line - p % per_line).min(st.n - p);
+                        round.push((X_BASE + 8 * p as u64, 8));
                     }
-                    visit(X_BASE + 8 * i as u64, 8);
-                    visit(Y_BASE + 8 * i as u64, 8);
+                    round.push((Y_BASE + 8 * i as u64, 8));
+                    visit(&round, count);
+                    i += count;
                 }
             }
         }
+    }
+
+    /// Call `visit(addr, bytes)` for every access, in kernel order: the
+    /// runs, expanded.
+    #[inline]
+    pub fn for_each(self, mut visit: impl FnMut(u64, usize)) {
+        // Every line size expands to the same accesses; one wider than
+        // any array splits runs only where an address wraps.
+        self.for_each_run(usize::MAX, |round, count| {
+            for j in 0..count as u64 {
+                for &(addr, bytes) in round {
+                    visit(addr + 8 * j, bytes);
+                }
+            }
+        });
     }
 
     /// Number of accesses [`AddrStream::for_each`] visits.
@@ -123,10 +179,11 @@ impl AddrStream<'_> {
 
     /// Replay the stream against a cold hierarchy of `spec` as it is
     /// generated — equal to [`simulate`] over [`AddrStream::to_vec`],
-    /// without materializing the trace.
+    /// without materializing the trace. Each run goes through
+    /// [`CacheSim::repeat`] at `spec`'s line size.
     pub fn simulate(self, spec: MemSpec) -> AccessStats {
         let mut sim = CacheSim::new(spec);
-        self.for_each(|a, b| sim.access(a, b));
+        self.for_each_run(spec.line_bytes, |round, count| sim.repeat(round, count));
         sim.stats
     }
 }

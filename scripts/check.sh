@@ -13,14 +13,10 @@ echo "== cargo clippy (deny warnings, both obs modes)"
 cargo clippy --workspace --all-targets -- -D warnings
 cargo clippy --workspace --all-targets --features obs -- -D warnings
 
-echo "== tier-1 verify: cargo build --release && cargo test -q"
+echo "== tier-1 verify, both obs modes: cargo build --release, then every test once per mode"
+# Every crate is a default member, so the workspace run is tier-1's
+# `cargo test -q` plus the vendored shims' own tests.
 cargo build --release
-cargo test -q
-
-echo "== test suite again with the obs counter layer compiled in"
-cargo test -q --features obs
-
-echo "== per-crate test suites, both obs modes (timeline/schedule proptests live here)"
 cargo test -q --workspace
 cargo test -q --workspace --features obs
 

@@ -8,7 +8,9 @@
 //! before its division-free rewrite, so they also pin that rewrite as an
 //! exact refactor. A second test checks that streaming a family's
 //! addresses straight into the simulator (what `ecm_families` does) equals
-//! replaying the materialized trace (what `memtrace::simulate` does).
+//! replaying the materialized trace (what `memtrace::simulate` does). The
+//! last two pin the materialized traces themselves, and check that the
+//! line runs the simulator replays expand to exactly those traces.
 
 use ookami_bench::ecm::{ecm_spmv_fixture, ecm_stencil4, ecm_stencil7, ECM_STREAM_N};
 use ookami_mem::AccessStats;
@@ -121,6 +123,67 @@ fn streamed_replay_equals_materialized_replay() {
                 "{name} on {}",
                 machine.name
             );
+        }
+    }
+}
+
+/// `(accesses, FNV-1a)` of each family's `to_vec()`, recorded from the
+/// element-by-element generator that the runs replaced.
+const TRACES: [(&str, usize, u64); 8] = [
+    ("spmv_crs", 155648, 0x6012_c3ee_b6ca_0a08),
+    ("spmv_sell", 151552, 0xe76d_b29a_4587_e410),
+    ("copy", 262144, 0x413c_3600_b1bb_eb25),
+    ("scale", 262144, 0x413c_3600_b1bb_eb25),
+    ("add", 393216, 0xa2cd_067c_5724_2b25),
+    ("triad", 393216, 0xa2cd_067c_5724_2b25),
+    ("stencil4", 393216, 0x02b1_63e3_1920_d4d5),
+    ("stencil7", 524288, 0x104b_077e_afe0_e1b5),
+];
+
+/// FNV-1a over every `(addr, bytes)` pair, both as little-endian u64.
+fn fnv1a(trace: &[(u64, usize)]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325_u64;
+    for &(addr, bytes) in trace {
+        for b in addr
+            .to_le_bytes()
+            .into_iter()
+            .chain((bytes as u64).to_le_bytes())
+        {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+#[test]
+fn materialized_traces_are_pinned() {
+    let f = Fixtures::new();
+    for ((name, s), (pin_name, len, hash)) in f.streams().into_iter().zip(TRACES) {
+        assert_eq!(name, pin_name);
+        let t = s.to_vec();
+        assert_eq!((t.len(), fnv1a(&t)), (len, hash), "{name}");
+    }
+}
+
+/// The runs `simulate` replays at 64-B and 256-B lines expand to exactly
+/// `to_vec()`, and every access of a run stays on its first element's line.
+#[test]
+fn expanded_runs_equal_the_materialized_trace() {
+    let f = Fixtures::new();
+    for line_bytes in [64, 256] {
+        for (name, s) in f.streams() {
+            let line = |addr: u64| addr / line_bytes as u64;
+            let mut t = Vec::new();
+            s.for_each_run(line_bytes, |round, count| {
+                let last = 8 * (count as u64 - 1);
+                for &(addr, bytes) in round {
+                    assert_eq!(line(addr), line(addr + last + bytes as u64 - 1), "{name}");
+                }
+                for j in 0..count as u64 {
+                    t.extend(round.iter().map(|&(addr, bytes)| (addr + 8 * j, bytes)));
+                }
+            });
+            assert_eq!(t, s.to_vec(), "{name} at {line_bytes}-B lines");
         }
     }
 }
