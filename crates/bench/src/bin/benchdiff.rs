@@ -13,6 +13,8 @@
 //! 1. **Flag gates** (always on): a baseline flag of `"true"` for
 //!    `bit_identical`, `instr_streams_identical` or `gate` must still be
 //!    `"true"` — these encode correctness invariants, not measurements.
+//!    Every probe writes its own verdict as `gate`, so a baseline without
+//!    one is itself a regression: the flag gate could never judge it.
 //!    Flags starting with `ecm_` are pinned to the baseline's exact value:
 //!    they carry the ECM model's bound attributions (`bandwidth_bound` vs
 //!    `core_bound`), which are deterministic claims about the machine
@@ -237,6 +239,10 @@ fn diff_gates(name: &str, base: &Json, cur: &Json) -> FileVerdict {
     let cf = str_flags(cur);
 
     // 1. flag gates — correctness invariants hold in every mode.
+    if !bf.contains_key("gate") {
+        v.regressions
+            .push("baseline has no `gate` flag: regenerate it with its probe".to_string());
+    }
     for gf in GATED_FLAGS {
         if bf.get(gf).map(String::as_str) == Some("true") {
             let now = cf.get(gf).map_or("<missing>", String::as_str);
@@ -521,17 +527,33 @@ mod tests {
 
     #[test]
     fn pinned_ecm_flag_flip_is_a_regression() {
-        let ecm = |bound: &str| doc(&format!(r#"{{"mode": "full", "flags": {{{bound}}}}}"#));
-        let base = ecm(r#""ecm_crs_bound": "bandwidth_bound""#);
-        let ok = ecm(r#""ecm_crs_bound": "bandwidth_bound""#);
+        let ecm = |bound: &str| {
+            doc(&format!(
+                r#"{{"mode": "full", "flags": {{"gate": true{bound}}}}}"#
+            ))
+        };
+        let base = ecm(r#", "ecm_crs_bound": "bandwidth_bound""#);
+        let ok = ecm(r#", "ecm_crs_bound": "bandwidth_bound""#);
         assert!(regressions(&base, &ok).is_empty());
-        let flipped = ecm(r#""ecm_crs_bound": "core_bound""#);
+        let flipped = ecm(r#", "ecm_crs_bound": "core_bound""#);
         let r = regressions(&base, &flipped);
         assert_eq!(r.len(), 1, "{r:?}");
         assert!(r[0].contains("attribution flip"), "{r:?}");
         // Missing counts as a flip too — the claim must keep being made.
         let gone = ecm("");
         assert_eq!(regressions(&base, &gone).len(), 1);
+    }
+
+    #[test]
+    fn baseline_without_gate_is_a_regression() {
+        let gated = doc(r#"{"mode": "full", "flags": {"gate": true}}"#);
+        assert!(regressions(&gated, &gated).is_empty());
+        // A gate-less baseline fails even against a current file whose
+        // probe passed: nothing in it was ever judged.
+        let ungated = doc(r#"{"mode": "full", "flags": {"csv": false}}"#);
+        let r = regressions(&ungated, &gated);
+        assert_eq!(r.len(), 1, "{r:?}");
+        assert!(r[0].contains("no `gate` flag"), "{r:?}");
     }
 
     #[test]

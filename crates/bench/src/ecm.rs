@@ -20,8 +20,13 @@
 //!   line, and counts the remaining passes as L1 hits. Under true LRU
 //!   such a pass changes no set's contents or recency order, so the
 //!   counts equal the element-by-element replay exactly
-//!   (`tests/ecm_traffic.rs` pins them). Every call still simulates every
-//!   family from a cold hierarchy.
+//!   (`tests/ecm_traffic.rs` pins them).
+//!
+//! The families share only the SpMV fixture. [`ecm_families`] builds it
+//! once and then evaluates the eight rows concurrently, one pool task per
+//! row: each records its own trace, analyzes it and simulates its stream
+//! in its own cold hierarchy, so every call yields the same rows, bit for
+//! bit, as evaluating them one after another.
 //!
 //! Normalization: a "unit of work" is one useful element (a stored
 //! nonzero for SpMV, an array element for STREAM/stencil), and rows are
@@ -29,6 +34,7 @@
 //! them), matching the ECM literature's cycles-per-CL convention.
 
 use ookami_core::obs::derive::{ecm, EcmInput, EcmModel};
+use ookami_core::{par_chunks_mut_with, Schedule};
 use ookami_spmv::memtrace::AddrStream;
 use ookami_spmv::stream::StreamKernel;
 use ookami_spmv::{Crs, GatherHints, SellCSigma, Stencil};
@@ -136,68 +142,92 @@ fn row(
     }
 }
 
+/// Rows in the table: CRS, SELL-C-σ, the STREAM kernels, the 2-D and
+/// 3-D stencils.
+const FAMILIES: usize = 2 + StreamKernel::ALL.len() + 2;
+
 /// All irregular-memory family rows on `m` at vector length `vl`
-/// (lanes of f64; 8 on the 512-bit A64FX target).
+/// (lanes of f64; 8 on the 512-bit A64FX target), in table order. The
+/// rows run as one pool region at the auto thread count, handed out in
+/// table order; inside another region they run inline, one by one.
 pub fn ecm_families(m: &Machine, vl: usize) -> Vec<FamilyEcm> {
-    let mut rows = Vec::new();
+    let fixture = ecm_spmv_fixture();
+    let mut rows: Vec<Option<FamilyEcm>> = (0..FAMILIES).map(|_| None).collect();
+    par_chunks_mut_with(
+        0,
+        &mut rows,
+        1,
+        Schedule::Dynamic { chunk: 1 },
+        |i, slot| {
+            slot[0] = Some(family_row(i, m, vl, &fixture));
+        },
+    );
+    rows.into_iter()
+        .map(|r| r.expect("every family task writes its row"))
+        .collect()
+}
+
+/// Row `i` of the table (see [`FAMILIES`] for the order).
+fn family_row(i: usize, m: &Machine, vl: usize, (mat, x): &(Crs, Vec<f64>)) -> FamilyEcm {
     let hints = ecm_hints(vl);
-
-    // SpMV, CRS: row-per-lane blocking pads every vl-row block to its
-    // longest row, so steps = padded / vl over nnz useful elements.
-    let (mat, x) = ecm_spmv_fixture();
-    let tc = ookami_spmv::crs_trace(&mat, &x, vl, hints);
-    rows.push(row(
-        "spmv_crs",
-        m,
-        &tc,
-        vl,
-        mat.block_padded_nnz(vl) as f64 / vl as f64,
-        mat.nnz() as f64,
-        AddrStream::Crs(&mat),
-    ));
-
-    // SpMV, SELL-C-σ with C = vl and σ covering the matrix: same nnz,
-    // fewer padded slots, and only the x access stays a gather.
-    let s = SellCSigma::from_crs(&mat, vl, mat.n_rows);
-    let ts = ookami_spmv::sell_trace(&s, &x, hints);
-    rows.push(row(
-        "spmv_sell",
-        m,
-        &ts,
-        s.c,
-        s.padded_nnz() as f64 / s.c as f64,
-        s.nnz as f64,
-        AddrStream::Sell(&s),
-    ));
-
-    for k in StreamKernel::ALL {
-        let t = ookami_spmv::stream_trace(k, vl);
-        rows.push(row(
-            k.name(),
+    let streams = 2..2 + StreamKernel::ALL.len();
+    match i {
+        // SpMV, CRS: row-per-lane blocking pads every vl-row block to its
+        // longest row, so steps = padded / vl over nnz useful elements.
+        0 => row(
+            "spmv_crs",
             m,
-            &t,
+            &ookami_spmv::crs_trace(mat, x, vl, hints),
             vl,
-            (ECM_STREAM_N as f64 / vl as f64).ceil(),
-            ECM_STREAM_N as f64,
-            AddrStream::Stream(k, ECM_STREAM_N),
-        ));
+            mat.block_padded_nnz(vl) as f64 / vl as f64,
+            mat.nnz() as f64,
+            AddrStream::Crs(mat),
+        ),
+        // SpMV, SELL-C-σ with C = vl and σ covering the matrix: same nnz,
+        // fewer padded slots, and only the x access stays a gather.
+        1 => {
+            let s = SellCSigma::from_crs(mat, vl, mat.n_rows);
+            row(
+                "spmv_sell",
+                m,
+                &ookami_spmv::sell_trace(&s, x, hints),
+                s.c,
+                s.padded_nnz() as f64 / s.c as f64,
+                s.nnz as f64,
+                AddrStream::Sell(&s),
+            )
+        }
+        i if streams.contains(&i) => {
+            let k = StreamKernel::ALL[i - streams.start];
+            row(
+                k.name(),
+                m,
+                &ookami_spmv::stream_trace(k, vl),
+                vl,
+                (ECM_STREAM_N as f64 / vl as f64).ceil(),
+                ECM_STREAM_N as f64,
+                AddrStream::Stream(k, ECM_STREAM_N),
+            )
+        }
+        i => {
+            let (name, st) = if i == streams.end {
+                ("stencil4", ecm_stencil4())
+            } else {
+                ("stencil7", ecm_stencil7())
+            };
+            // The row reads only the recorded instruction mix, which does
+            // not depend on the field's values: record over zeros.
+            row(
+                name,
+                m,
+                &st.trace(&vec![0.0; st.n], vl, vl as u32),
+                vl,
+                (st.n as f64 / vl as f64).ceil(),
+                st.n as f64,
+                AddrStream::Stencil(&st),
+            )
+        }
     }
-
-    for (name, st) in [("stencil4", ecm_stencil4()), ("stencil7", ecm_stencil7())] {
-        // The row reads only the recorded instruction mix, which does not
-        // depend on the field's values: record over zeros.
-        let t = st.trace(&vec![0.0; st.n], vl, vl as u32);
-        rows.push(row(
-            name,
-            m,
-            &t,
-            vl,
-            (st.n as f64 / vl as f64).ceil(),
-            st.n as f64,
-            AddrStream::Stencil(&st),
-        ));
-    }
-    rows
 }
 
 /// The rows in `(label, model)` form for `obs::derive::render_ecm_table`.
@@ -211,6 +241,62 @@ mod tests {
 
     fn a64fx() -> &'static Machine {
         ookami_uarch::machines::a64fx()
+    }
+
+    /// Every field of a row, floats as bits.
+    fn row_bits(r: &FamilyEcm) -> (&'static str, [u64; 13]) {
+        let FamilyEcm {
+            name,
+            input,
+            model,
+            roofline_cy_per_cl,
+        } = *r;
+        let EcmInput {
+            t_core,
+            l1_l2_lines,
+            l2_mem_lines,
+        } = input;
+        let EcmModel {
+            t_core: m_core,
+            t_l1l2,
+            t_l2mem,
+            t_data,
+            t_cl,
+            bandwidth_bound,
+            n_sat,
+            cl_per_s_1c,
+            cl_per_s_bw_cap,
+        } = model;
+        let bits = [
+            t_core.to_bits(),
+            l1_l2_lines.to_bits(),
+            l2_mem_lines.to_bits(),
+            m_core.to_bits(),
+            t_l1l2.to_bits(),
+            t_l2mem.to_bits(),
+            t_data.to_bits(),
+            t_cl.to_bits(),
+            u64::from(bandwidth_bound),
+            n_sat as u64,
+            cl_per_s_1c.to_bits(),
+            cl_per_s_bw_cap.to_bits(),
+            roofline_cy_per_cl.to_bits(),
+        ];
+        (name, bits)
+    }
+
+    #[test]
+    fn concurrent_rows_equal_serial_rows_bitwise() {
+        // Inside a one-part region the family region nests, so it runs
+        // inline: the rows are computed one after another on this thread.
+        let serial = std::sync::Mutex::new(Vec::new());
+        ookami_core::Pool::global().run(1, |_| {
+            *serial.lock().unwrap() = ecm_families(a64fx(), 8);
+        });
+        let serial: Vec<_> = serial.into_inner().unwrap().iter().map(row_bits).collect();
+        let concurrent: Vec<_> = ecm_families(a64fx(), 8).iter().map(row_bits).collect();
+        assert_eq!(serial.len(), FAMILIES);
+        assert_eq!(serial, concurrent);
     }
 
     #[test]

@@ -194,6 +194,17 @@ mod tests {
     }
 
     #[test]
+    fn d2_gathers_share_one_captured_field() {
+        // Four neighbor gathers and the center gather read the same
+        // unchanged field: five table indices, one allocation.
+        let st = Stencil::d2(8, 8, 0.5, -0.125);
+        let t = st.trace(&st.field(), 8, 8);
+        let tabs = t.tables();
+        assert_eq!(tabs.len(), 5);
+        assert!(tabs.iter().all(|tab| std::sync::Arc::ptr_eq(tab, &tabs[0])));
+    }
+
+    #[test]
     fn d3_wraps_periodically() {
         let st = Stencil::d3(4, 4, 4, 1.0, 1.0);
         let u = st.field();

@@ -214,7 +214,8 @@ pub enum TOp {
         pg: Slot,
         a: Slot,
     },
-    /// Gather from captured table `tab` (a record-time copy).
+    /// Gather from captured table `tab` (a record-time copy, shared with
+    /// earlier captures of the same unchanged slice).
     Gather {
         dst: Slot,
         pg: Slot,
@@ -251,7 +252,9 @@ pub(crate) struct TraceSink {
     pmap: HashMap<Reg, Slot>,
     n_v: Slot,
     n_p: Slot,
-    tabs: Vec<Vec<f64>>,
+    tabs: Vec<Arc<[f64]>>,
+    /// Address and length of the slice each table was captured from.
+    tab_src: Vec<(usize, usize)>,
 }
 
 impl TraceSink {
@@ -265,6 +268,7 @@ impl TraceSink {
             n_v: 0,
             n_p: 0,
             tabs: Vec::new(),
+            tab_src: Vec::new(),
         }
     }
 
@@ -318,11 +322,23 @@ impl TraceSink {
         self.setup.push(op);
     }
 
-    /// Capture a record-time copy of a gather/scatter table.
+    /// Capture a record-time copy of a gather/scatter table under a new
+    /// index. When the last capture of the same slice (same address and
+    /// length) still holds the same bits, the index shares its
+    /// allocation: a stencil gathers its whole field once per neighbor.
     pub(crate) fn capture_tab(&mut self, data: &[f64]) -> u16 {
         let k = self.tabs.len();
         assert!(k < u16::MAX as usize, "too many captured tables");
-        self.tabs.push(data.to_vec());
+        let src = (data.as_ptr().addr(), data.len());
+        let tab = self
+            .tab_src
+            .iter()
+            .rposition(|&s| s == src)
+            .map(|j| &self.tabs[j])
+            .filter(|t| t.iter().zip(data).all(|(a, b)| a.to_bits() == b.to_bits()))
+            .map_or_else(|| Arc::from(data), Arc::clone);
+        self.tabs.push(tab);
+        self.tab_src.push(src);
         k as u16
     }
 }
@@ -475,7 +491,8 @@ pub struct Trace {
     pub n_v: usize,
     /// Predicate register file size.
     pub n_p: usize,
-    pub(crate) tabs: Vec<Vec<f64>>,
+    /// Captured gather/scatter tables, one per table index.
+    pub(crate) tabs: Vec<Arc<[f64]>>,
     /// Replayer-bound input slots, in binding order.
     pub inputs: Vec<Slot>,
     /// The loop-governing predicate slot, if recorded with one.
@@ -589,6 +606,12 @@ impl Trace {
 
     pub fn output(&self, i: usize) -> VSlot {
         VSlot(self.outputs[i])
+    }
+
+    /// The captured gather/scatter tables, one per table index; indices
+    /// captured from one unchanged slice share an allocation.
+    pub fn tables(&self) -> &[Arc<[f64]>] {
+        &self.tabs
     }
 
     /// Whether contiguous blocks may be fused into one wide replay step.
@@ -1261,9 +1284,10 @@ impl<'t> Replayer<'t> {
             blocks: batch,
             vbuf: vec![0u64; t.n_v * w],
             pbuf: vec![0u64; t.n_p],
-            // Scatter-visible tables start from the captured bits.
+            // Scatter-visible tables start from the captured bits, one
+            // private copy per table index.
             tabs: if t.scatters() {
-                t.tabs.clone()
+                t.tabs.iter().map(|tab| tab.to_vec()).collect()
             } else {
                 Vec::new()
             },
@@ -1824,7 +1848,7 @@ fn exec_rop(
     vbuf: &mut [u64],
     pbuf: &mut [u64],
     tabs: &mut [Vec<f64>],
-    ttabs: &[Vec<f64>],
+    ttabs: &[Arc<[f64]>],
     w: usize,
     full: u64,
 ) {
@@ -2353,6 +2377,50 @@ mod tests {
             want[p as usize] = src[p as usize];
         }
         assert_eq!(r2.table(scat_tab), &want[..]);
+    }
+
+    #[test]
+    fn regather_after_scatter_replays_like_the_interpreter() {
+        // Gather from `a`, scatter into it, gather from it again. The
+        // first two captures hold the same bits and share one allocation;
+        // the third holds the scattered values and must not.
+        let a: Vec<f64> = (0..16).map(|i| 0.25 + i as f64).collect();
+        let body = |c: &mut SveCtx, a: &mut [f64]| {
+            let pg = c.ptrue();
+            let idx = c.index(3, 1);
+            let g0 = c.ld1d_gather(&pg, a, &idx, 8);
+            let two = c.dup_f64(-2.0);
+            let v = c.fmul(&pg, &g0, &two);
+            c.st1d_scatter(&pg, &v, a, &idx);
+            // Even indices: some scattered, some untouched.
+            let idx2 = c.index(0, 2);
+            let g1 = c.ld1d_gather(&pg, a, &idx2, 8);
+            (g0, g1)
+        };
+        let mut want_a = a.clone();
+        let (w0, w1) = body(&mut SveCtx::new(8), &mut want_a);
+
+        let mut b = TraceBuilder::new(8);
+        b.begin_body();
+        let mut rec_a = a.clone();
+        let (g0, g1) = body(b.ctx(), &mut rec_a);
+        let t = b.finish(&[&g0, &g1]);
+        let tabs = t.tables();
+        assert_eq!(tabs.len(), 3);
+        assert!(Arc::ptr_eq(&tabs[0], &tabs[1]));
+        assert!(!Arc::ptr_eq(&tabs[1], &tabs[2]));
+
+        let mut r = t.replayer();
+        r.step();
+        for l in 0..8 {
+            assert_eq!(r.lane_bits(t.output(0), l), w0.bits[l]);
+            assert_eq!(r.lane_bits(t.output(1), l), w1.bits[l]);
+        }
+        // Each index keeps its own working copy: the scatter lands in
+        // table 1 only, and table 0 still holds the gathered bits.
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(r.table(1)), bits(&want_a));
+        assert_eq!(bits(r.table(0)), bits(&a));
     }
 
     #[test]
