@@ -8,7 +8,7 @@
 //!
 //! Both sides are schema-validated (`ookami-bench-v1`) before any
 //! comparison — a malformed file is a usage error (exit 2), never a silent
-//! pass. Three gate classes, from strongest to weakest:
+//! pass. Four gate classes:
 //!
 //! 1. **Flag gates** (always on): a baseline flag of `"true"` for
 //!    `bit_identical`, `instr_streams_identical` or `gate` must still be
@@ -19,12 +19,14 @@
 //!    they carry the ECM model's bound attributions (`bandwidth_bound` vs
 //!    `core_bound`), which are deterministic claims about the machine
 //!    model, so any flip is a model change.
-//! 2. **Bounds** (full-mode current files only): the current file is
-//!    judged against the probe harness's one table of floors and ceilings
-//!    ([`ookami_bench::probe::BOUNDS`]) by the same function the probe ran
-//!    before writing it, so a probe that passed its own gate passes here.
-//! 3. **Matched-mode gates** (only when `mode` and `obs_enabled` agree, so
-//!    smoke CI runs are never judged against full-mode baselines):
+//! 2. **Bounds**: the current file is judged against the probe harness's
+//!    one table of floors and ceilings ([`ookami_bench::probe::BOUNDS`])
+//!    by the same function the probe ran before writing it, so a probe
+//!    that passed its own gate passes here.
+//! 3. **Same mode**: a current file whose `mode` or `obs_enabled` differs
+//!    from its baseline's is a regression naming the field; its counters
+//!    and times measure another run, so the gates below are not read.
+//! 4. **Exact and timed gates**:
 //!    `max_ulp*` metrics may not increase (accuracy is deterministic), the
 //!    deterministic model counters (SVE/port/byte/FLOP events) must be
 //!    *exactly* equal — any drift is a real behavioral change, not noise —
@@ -33,6 +35,15 @@
 //!    [`ookami_core::Stats`], and only a *systematic* slowdown (mean delta
 //!    above [`TOL`] and above one standard deviation of the deltas) fails,
 //!    so one noisy metric on a loaded CI box cannot trip the gate.
+//!
+//! The time gate reads rates (`*per_sec*`) and the times a probe measured
+//! directly: metrics named `*_s`, `*_seconds`, `*_us` or `*_ns`. It skips
+//! the region-latency quantiles `*_p50_ns` and `*_p99_ns`. Those are
+//! log2-histogram bucket edges clamped to the observed maximum, so they
+//! move in steps of 2x (one bucket reads +100 % against the 50 %
+//! tolerance), and when all of a region's reps fall in its top bucket
+//! both read the slowest rep. The probe's wall times (`bare_run_s`,
+//! `prof_run_s`) are gated instead.
 //!
 //! `--inject-regression` degrades the current set in memory (times ×10,
 //! rates ÷10, every bounded metric pushed 10× past its bound's side,
@@ -47,7 +58,7 @@ use std::collections::BTreeMap;
 
 /// Counters whose values are deterministic functions of the executed
 /// kernels (execution-strategy- and timing-independent), gated for exact
-/// equality when modes match: the executor-identity set plus bytes and
+/// equality in obs builds: the executor-identity set plus bytes and
 /// model FLOPs. Scheduling/timing counters (barrier waits, guided chunk
 /// splits, forked-vs-inline region counts) are excluded: they
 /// legitimately vary with machine load and core count.
@@ -71,8 +82,8 @@ const GATED_FLAGS: [&str; 3] = ["bit_identical", "instr_streams_identical", "gat
 /// about the machine model, so a flip is a model change, never noise).
 const PINNED_FLAG_PREFIX: &str = "ecm_";
 
-/// Systematic-slowdown tolerance of the matched-mode time gate: the mean
-/// relative delta of a file's time metrics may reach +50%.
+/// Systematic-slowdown tolerance of the time gate: the mean relative
+/// delta of a file's time metrics may reach +50%.
 const TOL: f64 = 0.5;
 
 /// How many counter deltas `--explain` prints per regressed file.
@@ -122,15 +133,23 @@ fn counters(doc: &Json) -> BTreeMap<String, u64> {
     out
 }
 
-fn str_field<'a>(doc: &'a Json, key: &str) -> &'a str {
+/// A top-level string or bool field as text, `<missing>` if absent.
+fn field(doc: &Json, key: &str) -> String {
     match doc.get(key) {
-        Some(Json::Str(s)) => s.as_str(),
-        _ => "",
+        Some(Json::Str(s)) => s.clone(),
+        Some(Json::Bool(b)) => b.to_string(),
+        _ => "<missing>".to_string(),
     }
 }
 
+/// A time the probe measured directly (see the module doc for why the
+/// histogram quantiles are not).
 fn is_time_metric(name: &str) -> bool {
-    name.ends_with("_seconds") || name.ends_with("_us") || name.ends_with("_ns")
+    let quantile = name.ends_with("_p50_ns") || name.ends_with("_p99_ns");
+    !quantile
+        && ["_s", "_seconds", "_us", "_ns"]
+            .iter()
+            .any(|s| name.ends_with(s))
 }
 
 fn is_rate_metric(name: &str) -> bool {
@@ -141,10 +160,8 @@ fn is_rate_metric(name: &str) -> bool {
 /// every rate ÷10, every metric in the bounds table pushed 10× toward
 /// the wrong side of its bound (floors ÷10, ceilings ×10), every
 /// deterministic model counter ×2, and every gated correctness flag
-/// flipped to false. The flag flip is what keeps the self-test meaningful
-/// even for a mode-mismatched pair (smoke current vs full baseline),
-/// where the metric gates are skipped by design; the counter doubling
-/// gives `--explain` real deltas to rank.
+/// flipped to false, so each gate class has something to catch; the
+/// counter doubling also gives `--explain` real deltas to rank.
 fn inject_regression(doc: &mut Json) {
     if let Json::Obj(root) = doc {
         if let Some(Json::Obj(metrics)) = root.get_mut("metrics") {
@@ -271,19 +288,22 @@ fn diff_gates(name: &str, base: &Json, cur: &Json) -> FileVerdict {
     v.regressions.extend(bounds.violations);
     v.notes.extend(bounds.notes);
 
-    // 3. matched-mode gates.
-    let modes_match = str_field(base, "mode") == str_field(cur, "mode")
-        && base.get("obs_enabled") == cur.get("obs_enabled");
-    if !modes_match {
-        v.notes.push(format!(
-            "modes differ ({} vs {}): matched-mode gates skipped",
-            str_field(base, "mode"),
-            str_field(cur, "mode")
-        ));
+    // 3. same mode: counters and times of another mode measure another run.
+    let mut same_mode = true;
+    for key in ["mode", "obs_enabled"] {
+        let (b, c) = (field(base, key), field(cur, key));
+        if b != c {
+            same_mode = false;
+            v.regressions.push(format!(
+                "`{key}`: baseline {b}, current {c}: regenerate it in its committed mode"
+            ));
+        }
+    }
+    if !same_mode {
         return v;
     }
 
-    // 3a. accuracy may not regress: max ulp is deterministic.
+    // 4a. accuracy may not regress: max ulp is deterministic.
     for (k, bval) in &bm {
         if k.starts_with("max_ulp") {
             if let Some(&cval) = cm.get(k) {
@@ -295,7 +315,7 @@ fn diff_gates(name: &str, base: &Json, cur: &Json) -> FileVerdict {
         }
     }
 
-    // 3b. deterministic model counters must be exactly equal.
+    // 4b. deterministic model counters must be exactly equal.
     let obs_on = matches!(base.get("obs_enabled"), Some(Json::Bool(true)));
     if obs_on {
         let bc = counters(base);
@@ -315,7 +335,7 @@ fn diff_gates(name: &str, base: &Json, cur: &Json) -> FileVerdict {
         }
     }
 
-    // 3c. pooled noise-aware time gate: only a systematic slowdown fails.
+    // 4c. pooled noise-aware time gate: only a systematic slowdown fails.
     let mut deltas = Stats::new();
     for (k, bval) in &bm {
         let Some(&cval) = cm.get(k) else { continue };
@@ -557,6 +577,57 @@ mod tests {
     }
 
     #[test]
+    fn another_mode_is_a_regression_naming_the_field() {
+        let run = |mode: &str, obs_on: bool| {
+            doc(&format!(
+                r#"{{"mode": "{mode}", "obs_enabled": {obs_on}, "flags": {{"gate": true}},
+                    "counters": {{"sve_instrs": 1000}}}}"#
+            ))
+        };
+        let base = run("full", true);
+        for (cur, key) in [
+            (run("full", false), "`obs_enabled`"),
+            (run("s", true), "`mode`"),
+        ] {
+            let r = regressions(&base, &cur);
+            assert_eq!(r.len(), 1, "{r:?}");
+            assert!(r[0].contains(key), "{r:?}");
+            assert!(r[0].contains("committed mode"), "{r:?}");
+        }
+    }
+
+    /// An `ookamiprof`-shaped report: two wall times, six region-latency
+    /// quantiles (`q` scales them) and the overhead ratio.
+    fn prof(bare_s: f64, prof_s: f64, q: f64) -> Json {
+        let mut metrics = format!(
+            r#""bare_run_s": {bare_s}, "prof_run_s": {prof_s}, "prof_overhead_ratio": {}"#,
+            prof_s / bare_s
+        );
+        for exec in ["interp", "replay", "compiled"] {
+            for p in ["p50", "p99"] {
+                metrics.push_str(&format!(r#", "{exec}_{p}_ns": {}"#, 65_535.0 * q));
+            }
+        }
+        doc(&format!(
+            r#"{{"mode": "full", "obs_enabled": true, "flags": {{"gate": true}},
+                "metrics": {{{metrics}}}}}"#
+        ))
+    }
+
+    #[test]
+    fn time_gate_reads_wall_times_not_histogram_quantiles() {
+        let base = prof(0.02, 0.04, 1.0);
+        // Every quantile one log2 bucket up, wall times held: passes.
+        let bucket_up = prof(0.02, 0.04, 2.0);
+        assert!(regressions(&base, &bucket_up).is_empty());
+        // Both wall times doubled: a systematic slowdown.
+        let slower = prof(0.04, 0.08, 1.0);
+        let r = regressions(&base, &slower);
+        assert_eq!(r.len(), 1, "{r:?}");
+        assert!(r[0].contains("over 2 metric(s)"), "{r:?}");
+    }
+
+    #[test]
     fn inject_regression_degrades_replay_speedups() {
         let mut cur = doc(r#"{"mode": "full", "metrics": {"spmv_replay_speedup": 3.0}}"#);
         inject_regression(&mut cur);
@@ -617,7 +688,7 @@ mod tests {
         let base = sve(1000);
         let cur = sve(2000);
         // Counter drift alone is a regression only via the exact-counter set
-        // in matched-mode — which it is here, so check a truly clean pair.
+        // of an obs build — which this is, so check a truly clean pair.
         let clean = diff_file("BENCH_t.json", &base, &base.clone());
         assert!(clean.regressions.is_empty());
         assert!(clean.explain.is_empty());

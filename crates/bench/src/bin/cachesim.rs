@@ -10,8 +10,7 @@
 //!    equal to the serial simulator, on both the A64FX and Skylake
 //!    memory geometries. Sharding by set index is a bijection that
 //!    preserves per-set LRU order, so any drift is a bug, not noise.
-//! 2. **Parallel floor** (full mode, obs-independent, only on hosts with
-//!    ≥ 4 cores): pool-parallel replay at 4 threads must be at least 2×
+//! 2. **Parallel floor** (obs-independent, only on hosts with ≥ 4 cores): pool-parallel replay at 4 threads must be at least 2×
 //!    the serial simulator on the same trace. `cachesim_par_speedup` is
 //!    the median over interleaved serial/parallel pairs.
 //!
@@ -20,7 +19,7 @@
 //! reads. Run with:
 //!
 //! ```text
-//! cargo run -p ookami-bench --bin cachesim --release [--smoke]
+//! cargo run -p ookami-bench --bin cachesim --release
 //! ```
 
 use ookami_bench::probe::{self, Cli, Probe};
@@ -85,16 +84,14 @@ fn identity_check(probe: &mut Probe, name: &str, spec: MemSpec, trace: &[(u64, u
 }
 
 fn main() {
-    let smoke = Cli {
-        usage: "usage: cachesim [--smoke] — sharded vs serial cache sim; --smoke is the CI size",
-        switches: &["--smoke"],
+    Cli {
+        usage: "usage: cachesim — sharded vs serial cache sim",
         ..Cli::default()
     }
-    .parse()
-    .has("--smoke");
-    let mut probe = Probe::start("cachesim", if smoke { "smoke" } else { "full" });
-    let n = if smoke { 30_000 } else { 600_000 };
-    let reps = if smoke { 2 } else { 5 };
+    .parse();
+    let mut probe = Probe::start("cachesim", "full");
+    let n = 600_000;
+    let reps = 5;
     let trace = synth_trace(n);
     let host_cores = auto_threads();
 

@@ -13,7 +13,7 @@
 //! * the **profiling overhead ratio** — the same compiled workload run
 //!   bare vs under a region with the timeline recording — is published as
 //!   `prof_overhead_ratio` and held under the bounds table's 5x ceiling
-//!   (full mode, obs build) by this probe and by `benchdiff`, so the
+//!   (obs build) by this probe and by `benchdiff`, so the
 //!   observability layer can never silently become the workload.
 //!
 //! Writes `target/bench/BENCH_prof.json` (p50/p99 region latencies per executor) and
@@ -21,7 +21,7 @@
 //! (inferno / speedscope load it directly). Run with:
 //!
 //! ```text
-//! cargo run -p ookami-bench --features obs --bin ookamiprof --release [--smoke]
+//! cargo run -p ookami-bench --features obs --bin ookamiprof --release
 //! ```
 
 use ookami_bench::probe::{thread_delta, Cli, Probe};
@@ -40,17 +40,14 @@ fn identity(d: &Snapshot) -> [u64; 13] {
 }
 
 fn main() {
-    let smoke = Cli {
+    Cli {
         usage: "ookamiprof — span-tree profiler probe with span-record identity gates\n\n\
-                usage: ookamiprof [--smoke]\n\n\
-                --smoke  CI-sized run (the bounds table applies to full runs only)\n\n\
+                usage: ookamiprof\n\n\
                 writes target/bench/BENCH_prof.json and, with obs, the flamegraph\n\
                 export target/PROFILE.collapsed",
-        switches: &["--smoke"],
         ..Cli::default()
     }
-    .parse()
-    .has("--smoke");
+    .parse();
     if !obs::enabled() {
         eprintln!(
             "note: built without the `obs` feature — histograms and spans are \
@@ -58,10 +55,10 @@ fn main() {
         );
     }
 
-    let mut probe = Probe::start("ookamiprof", if smoke { "smoke" } else { "full" });
+    let mut probe = Probe::start("ookamiprof", "full");
     let vl = 8usize;
-    let n = if smoke { 2_001 } else { 20_001 };
-    let reps: u32 = if smoke { 4 } else { 8 };
+    let n = 20_001;
+    let reps: u32 = 8;
     let variant = ExpVariant::FexpaEstrinCorrected;
     let xs = sample_range(-700.0, 700.0, n);
     let t = exp_trace(vl, variant);

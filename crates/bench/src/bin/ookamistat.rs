@@ -3,14 +3,13 @@
 //! counts next to wall time. Run with:
 //!
 //! ```text
-//! cargo run -p ookami-bench --features obs --bin ookamistat --release [--smoke]
+//! cargo run -p ookami-bench --features obs --bin ookamistat --release
 //! ```
 //!
 //! Writes `target/bench/BENCH_obs.json` (shared `ookami-bench-v1` schema, self-validated
 //! before the write) and prints the non-zero counters. Without
 //! `--features obs` the slice still runs — the counter columns are just
-//! zero and the report says `obs_enabled: false`, which is itself worth a
-//! smoke test (the no-op path must not crash).
+//! zero and the report says `obs_enabled: false`.
 
 use ookami_bench::probe::{Cli, Probe};
 use ookami_core::obs::{self, Counter, Json};
@@ -35,38 +34,34 @@ fn main() {
     let args = Cli {
         usage: "ookamistat — run a slice of every workload family with the obs counters on\n\
                 \n\
-                usage: ookamistat [--smoke] [--trace <path>]\n\
+                usage: ookamistat [--trace <path>]\n\
                 \n\
                 options:\n\
-                \x20 --smoke         small problem sizes (CI); default is the full slice\n\
                 \x20 --trace <path>  record a timeline and write a Chrome trace-event JSON\n\
                 \x20                 file to <path> (open in chrome://tracing or Perfetto);\n\
                 \x20                 requires --features obs for a non-empty trace\n\
                 \n\
                 outputs: target/bench/BENCH_obs.json (ookami-bench-v1 schema) and, with --trace,\n\
                 the Chrome trace; exit 1 on any counter sanity failure.",
-        switches: &["--smoke"],
         valued: &["--trace"],
         ..Cli::default()
     }
     .parse();
-    let smoke = args.has("--smoke");
     let trace_path = args.value("--trace");
-    let scale = if smoke { 1 } else { 4 };
     if !obs::enabled() {
         eprintln!(
             "note: built without the `obs` feature — counters read zero; \
              rebuild with --features obs for real counts"
         );
     }
-    let mut probe = Probe::start("ookamistat", if smoke { "smoke" } else { "full" });
+    let mut probe = Probe::start("ookamistat", "full");
     if trace_path.is_some() {
         timeline::start(timeline::DEFAULT_CAPACITY);
     }
 
     // --- Section III loops through the SVE emulator ---
     let vl = 8;
-    let n_loop = 2048 * scale;
+    let n_loop = 8192;
     let m = machines::a64fx();
     let t_loops = timed("loops", || {
         let mut s = LoopSuite::new(n_loop, 7);
@@ -79,7 +74,7 @@ fn main() {
     probe.report.metric("loops_elements", n_loop as f64);
 
     // --- Section IV math: the FEXPA exp over a sweep (trace replay) ---
-    let n_exp = 10_000 * scale;
+    let n_exp: usize = 40_000;
     let xs: Vec<f64> = (0..n_exp)
         .map(|i| -700.0 + 1400.0 * i as f64 / n_exp as f64)
         .collect();
@@ -100,15 +95,15 @@ fn main() {
     // --- Section VI LULESH: a few Sedov cycles, threaded ---
     let t_lulesh = timed("lulesh", || {
         let mut h = Hydro::sedov(8, 3.948746e7);
-        h.run_mt(1.0, 4 * scale, 4);
+        h.run_mt(1.0, 16, 4);
     });
     probe.report.metric("lulesh_seconds", t_lulesh);
 
     // --- Section VII HPCC: blocked DGEMM + Stockham FFT ---
-    let nd = 96 * scale.min(2);
+    let nd = 192;
     let a: Vec<f64> = (0..nd * nd).map(|i| (i % 13) as f64 * 0.25).collect();
     let b: Vec<f64> = (0..nd * nd).map(|i| (i % 7) as f64 - 3.0).collect();
-    let nf = 4096 * scale;
+    let nf = 16_384;
     let sig: Vec<(f64, f64)> = (0..nf)
         .map(|i| ((i as f64 * 0.37).sin(), (i as f64 * 0.11).cos()))
         .collect();
@@ -120,7 +115,7 @@ fn main() {
         std::hint::black_box(fft.forward(&sig));
         // STREAM is the family's pool-parallel member: its fork/chunk/
         // barrier counters give `report --derive` an hpcc row to place.
-        let mut s = ookami_hpcc::stream::Stream::new(1 << 14 << scale.min(2));
+        let mut s = ookami_hpcc::stream::Stream::new(1 << 16);
         s.copy(4);
         s.scale(3.0, 4);
         s.add(4);
@@ -165,7 +160,7 @@ fn main() {
     }
 
     // --- render ---
-    println!("ookamistat ({} mode)", if smoke { "smoke" } else { "full" });
+    println!("ookamistat");
     println!("{:>24}  {:>9}", "slice", "seconds");
     for (name, secs) in [
         ("loops", t_loops),

@@ -3,16 +3,11 @@
 //!
 //! `cargo run --release -p ookami-bench --bin report > REPORT.txt`
 //!
-//! With `--validate <file>...` it instead checks each `BENCH_*.json`
-//! file against the `ookami-bench-v1` schema and exits nonzero on the
-//! first violation — the CI hook that keeps every probe's output loadable
-//! by the same tooling.
-//!
-//! With `--derive <file>` it prints the roofline / bottleneck table
+//! With `--derive <file>` it instead prints the roofline / bottleneck table
 //! `obs::derive` computes from the file's counter snapshots (per span and
 //! in total) against the A64FX machine model at the probes' 4 threads.
 
-use ookami_bench::probe::{usage_error, Cli};
+use ookami_bench::probe::Cli;
 
 /// Thread count `--derive` places the counters at: the probes' parallel
 /// sections run 4-thread regions.
@@ -53,50 +48,19 @@ fn run_derive(file: &str) -> ! {
 
 fn main() {
     let args = Cli {
-        usage: "report — regenerate the full reproduction report, or inspect BENCH files\n\
+        usage: "report — regenerate the full reproduction report, or derive a BENCH file's table\n\
                 \n\
                 usage:\n\
-                \x20 report                         full report on stdout\n\
-                \x20 report --validate <file>...    schema-check BENCH_*.json files\n\
-                \x20 report --derive <file>         roofline/bottleneck table from a\n\
-                \x20                                BENCH_*.json with counters, at the\n\
-                \x20                                probes' 4 threads",
-        switches: &["--validate"],
+                \x20 report                    full report on stdout\n\
+                \x20 report --derive <file>    roofline/bottleneck table from a\n\
+                \x20                           BENCH_*.json with counters, at the\n\
+                \x20                           probes' 4 threads",
         valued: &["--derive"],
-        positionals: usize::MAX,
+        ..Cli::default()
     }
     .parse();
-    let files = &args.positionals;
     if let Some(file) = args.value("--derive") {
-        if args.has("--validate") || !files.is_empty() {
-            usage_error("--derive takes one file and no other argument");
-        }
         run_derive(file);
-    }
-    if args.has("--validate") {
-        if files.is_empty() {
-            usage_error("--validate needs at least one file");
-        }
-        for f in files {
-            let text = match std::fs::read_to_string(f) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("FAIL {f}: {e}");
-                    std::process::exit(1);
-                }
-            };
-            match ookami_core::obs::validate_bench_json(&text) {
-                Ok(()) => println!("OK {f}"),
-                Err(e) => {
-                    eprintln!("FAIL {f}: {e}");
-                    std::process::exit(1);
-                }
-            }
-        }
-        return;
-    }
-    if let Some(f) = files.first() {
-        usage_error(&format!("unexpected argument `{f}`"));
     }
 
     println!("# ookami — full reproduction report\n");

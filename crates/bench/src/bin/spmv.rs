@@ -13,15 +13,15 @@
 //!    its cache-line transfer time, not its core execution time, sets
 //!    the single-core runtime. That is the headline claim the SELL-C-σ
 //!    format rests on.
-//! 3. **Replay-over-interpreter floors** (full mode only, in the
-//!    harness's bounds table): replaying the recorded trace must beat
+//! 3. **Replay-over-interpreter floors** (in the harness's bounds
+//!    table): replaying the recorded trace must beat
 //!    re-interpreting the kernel per block. Each ratio is the median over
 //!    interleaved interpreter/replay pairs.
 //!
 //! Writes `target/bench/BENCH_spmv.json` (schema `ookami-bench-v1`). Run with:
 //!
 //! ```text
-//! cargo run -p ookami-bench --release --bin spmv [--smoke]
+//! cargo run -p ookami-bench --release --bin spmv
 //! ```
 
 use ookami_bench::ecm::{ecm_families, ecm_hints, ecm_spmv_fixture, ecm_table_rows, ECM_STREAM_N};
@@ -47,15 +47,13 @@ fn bits_eq(probe: &mut Probe, name: &str, want: &[f64], got: &[f64]) -> bool {
 
 #[allow(clippy::too_many_lines)]
 fn main() {
-    let smoke = Cli {
-        usage: "usage: spmv [--smoke] — SpMV, STREAM, stencils and the ECM table; --smoke is the CI size",
-        switches: &["--smoke"],
+    Cli {
+        usage: "usage: spmv — SpMV, STREAM, stencils and the ECM table",
         ..Cli::default()
     }
-    .parse()
-    .has("--smoke");
-    let mut probe = Probe::start("spmv", if smoke { "smoke" } else { "full" });
-    let reps = if smoke { 2 } else { 5 };
+    .parse();
+    let mut probe = Probe::start("spmv", "full");
+    let reps = 5;
     let vl = 8;
     let host_cores = auto_threads();
 

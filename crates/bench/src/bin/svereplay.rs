@@ -9,14 +9,12 @@
 //! `target/bench/BENCH_sve.json`. Run with:
 //!
 //! ```text
-//! cargo run -p ookami-bench --bin svereplay --release [--smoke]
+//! cargo run -p ookami-bench --bin svereplay --release
 //! ```
 //!
-//! `--smoke` (CI mode) shrinks the sweep; the harness's bounds table
-//! applies to full runs only, so smoke runs enforce the identity checks
-//! alone. A full run fails (exit 1) unless replay is at least 5× the
-//! interpreter and (with obs compiled in, the configuration the committed
-//! baseline records) the compiled path is at least 5× replay. Each gated
+//! A run fails (exit 1) unless replay is at least 5× the interpreter
+//! and (with obs compiled in, the configuration the committed baseline
+//! records) the compiled path is at least 5× replay. Each gated
 //! ratio is the median over `pairs` interleaved pairs, each pair timing
 //! both sides once.
 //!
@@ -89,17 +87,15 @@ fn canon(instrs: &[Instr]) -> Vec<CanonInstr> {
 }
 
 fn main() {
-    let smoke = Cli {
-        usage: "usage: svereplay [--smoke] — interpreter vs replay vs compiled; --smoke is the CI size",
-        switches: &["--smoke"],
+    Cli {
+        usage: "usage: svereplay — interpreter vs replay vs compiled",
         ..Cli::default()
     }
-    .parse()
-    .has("--smoke");
-    let mut probe = Probe::start("svereplay", if smoke { "smoke" } else { "full" });
+    .parse();
+    let mut probe = Probe::start("svereplay", "full");
     let vl = 8usize;
-    let n = if smoke { 4_001 } else { 40_001 };
-    let reps = if smoke { 2 } else { 5 };
+    let n = 40_001;
+    let reps = 5;
     let xs = sample_range(-700.0, 700.0, n);
     let headline = ExpVariant::FexpaEstrinCorrected;
 

@@ -5,8 +5,8 @@
 //!
 //! * regenerators: `figures [<id>|all] [--csv]`, `tables [<id>|all]`,
 //!   `ablations`, `accuracy` (also writes `BENCH_accuracy.json`), and
-//!   `report` (the full text report, or `--validate <file>...` /
-//!   `--derive <file>` on report files);
+//!   `report` (the full text report, or `--derive <file>` on a report
+//!   file);
 //! * probes, each writing a `target/bench/BENCH_*.json` report and
 //!   described in its own module doc: `svereplay`, `spmv`, `cachesim`,
 //!   `forkjoin`, `ookamistat`, `ookamiprof` and `ookamicheck` (static

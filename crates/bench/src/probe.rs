@@ -149,8 +149,7 @@ impl Bound {
     }
 }
 
-/// Every floor and ceiling, applied to `mode == "full"` reports only:
-/// smoke runs shrink the problem until fixed costs dominate.
+/// Every floor and ceiling a probe report must meet.
 ///
 /// * `speedup` (trace replay vs the per-op interpreter) and `ratio_at_8`
 ///   (pool vs spawn-per-region at an 8-thread team) are the repo's
@@ -195,9 +194,6 @@ pub struct Judgement {
 /// Judge one `ookami-bench-v1` document against [`BOUNDS`].
 pub fn judge(doc: &Json) -> Judgement {
     let mut j = Judgement::default();
-    if !matches!(doc.get("mode"), Some(Json::Str(m)) if m == "full") {
-        return j;
-    }
     let obs_on = matches!(doc.get("obs_enabled"), Some(Json::Bool(true)));
     let metric = |k: &str| match doc.get("metrics").and_then(|m| m.get(k)) {
         Some(Json::Num(n)) => Some(*n),
@@ -372,8 +368,8 @@ mod tests {
     use super::*;
 
     const CLI: Cli = Cli {
-        usage: "usage: t [--smoke] [--out <path>] [id]",
-        switches: &["--smoke"],
+        usage: "usage: t [--csv] [--out <path>] [id]",
+        switches: &["--csv"],
         valued: &["--out"],
         positionals: 1,
     };
@@ -384,22 +380,22 @@ mod tests {
 
     #[test]
     fn parser_takes_declared_arguments() {
-        let a = parse(&["fig1", "--out", "x.json", "--smoke"]).expect("declared");
-        assert!(a.has("--smoke"));
+        let a = parse(&["fig1", "--out", "x.json", "--csv"]).expect("declared");
+        assert!(a.has("--csv"));
         assert_eq!(a.value("--out"), Some("x.json"));
         assert_eq!(a.positionals, ["fig1"]);
         let none = parse(&[]).expect("empty");
-        assert!(!none.has("--smoke") && none.value("--out").is_none());
+        assert!(!none.has("--csv") && none.value("--out").is_none());
         assert!(none.positionals.is_empty());
     }
 
     #[test]
     fn parser_rejects_what_was_not_declared() {
-        assert_eq!(parse(&["--smoke", "--help"]).unwrap_err(), CliError::Help);
+        assert_eq!(parse(&["--csv", "--help"]).unwrap_err(), CliError::Help);
         for (args, want) in [
-            (&["--smok"][..], "unknown option `--smok`"),
+            (&["--cs"][..], "unknown option `--cs`"),
             (&["--out"][..], "`--out` needs a value"),
-            (&["--out", "--smoke"][..], "`--out` needs a value"),
+            (&["--out", "--csv"][..], "`--out` needs a value"),
             (&["fig1", "fig2"][..], "unexpected argument `fig2`"),
             (&["-h"][..], "unknown option `-h`"),
         ] {
@@ -411,8 +407,8 @@ mod tests {
         }
     }
 
-    /// `judge`'s verdict on a document (the bounds read only `mode`,
-    /// `obs_enabled` and `metrics`).
+    /// `judge`'s verdict on a document (the bounds read only `obs_enabled`
+    /// and `metrics`).
     fn judged(doc: &str) -> Judgement {
         judge(&Json::parse(doc).expect("test doc parses"))
     }
@@ -424,7 +420,7 @@ mod tests {
     #[test]
     fn par_floor_trips_on_a_capable_host() {
         let r = violations(
-            r#"{"mode": "full", "obs_enabled": true, "metrics": {"host_cores": 8,
+            r#"{"obs_enabled": true, "metrics": {"host_cores": 8,
                 "replay_par_speedup": 1.2, "compiled_par_speedup": 3.4}}"#,
         );
         assert_eq!(r.len(), 1, "{r:?}");
@@ -434,7 +430,7 @@ mod tests {
     #[test]
     fn par_floor_skipped_below_min_cores() {
         let j = judged(
-            r#"{"mode": "full", "obs_enabled": true,
+            r#"{"obs_enabled": true,
                 "metrics": {"host_cores": 1, "replay_par_speedup": 1.0}}"#,
         );
         assert!(j.violations.is_empty(), "{:?}", j.violations);
@@ -449,15 +445,14 @@ mod tests {
 
     #[test]
     fn par_floor_skipped_when_host_cores_missing() {
-        let doc =
-            r#"{"mode": "full", "obs_enabled": true, "metrics": {"compiled_par_speedup": 0.5}}"#;
+        let doc = r#"{"obs_enabled": true, "metrics": {"compiled_par_speedup": 0.5}}"#;
         assert!(violations(doc).is_empty());
     }
 
     #[test]
     fn trace_engine_par_floors_need_obs_but_cachesim_does_not() {
         let r = violations(
-            r#"{"mode": "full", "obs_enabled": false, "metrics": {"host_cores": 8,
+            r#"{"obs_enabled": false, "metrics": {"host_cores": 8,
                 "replay_par_speedup": 1.0, "cachesim_par_speedup": 1.0}}"#,
         );
         assert_eq!(r.len(), 1, "{r:?}");
@@ -465,39 +460,27 @@ mod tests {
     }
 
     #[test]
-    fn par_floor_ignored_in_smoke_mode() {
-        let doc = r#"{"mode": "smoke", "obs_enabled": true,
-                      "metrics": {"host_cores": 8, "replay_par_speedup": 1.0}}"#;
-        assert!(violations(doc).is_empty());
-    }
-
-    #[test]
     fn replay_floor_trips_in_full_mode_only() {
         let r = violations(
-            r#"{"mode": "full", "obs_enabled": false,
+            r#"{"obs_enabled": false,
                 "metrics": {"spmv_replay_speedup": 1.0, "stream_replay_speedup": 1.0}}"#,
         );
         assert_eq!(r.len(), 1, "{r:?}");
         assert!(r[0].contains("spmv_replay_speedup"), "{r:?}");
-        let smoke =
-            r#"{"mode": "smoke", "obs_enabled": false, "metrics": {"spmv_replay_speedup": 1.0}}"#;
-        assert!(violations(smoke).is_empty());
     }
 
     #[test]
     fn prof_overhead_ceiling_trips_on_full_obs_runs_only() {
-        let ratio = |mode: &str, obs_on: bool, r: f64| {
+        let ratio = |obs_on: bool, r: f64| {
             violations(&format!(
-                r#"{{"mode": "{mode}", "obs_enabled": {obs_on}, "metrics": {{"prof_overhead_ratio": {r}}}}}"#
+                r#"{{"obs_enabled": {obs_on}, "metrics": {{"prof_overhead_ratio": {r}}}}}"#
             ))
         };
-        let r = ratio("full", true, 6.0);
+        let r = ratio(true, 6.0);
         assert_eq!(r.len(), 1, "{r:?}");
         assert!(r[0].contains("above ceiling"), "{r:?}");
-        assert!(ratio("full", true, 1.4).is_empty());
+        assert!(ratio(true, 1.4).is_empty());
         // Without obs the ratio measures something else: not gated.
-        assert!(ratio("full", false, 6.0).is_empty());
-        // Smoke problems are fixed-cost-dominated: not gated.
-        assert!(ratio("smoke", true, 6.0).is_empty());
+        assert!(ratio(false, 6.0).is_empty());
     }
 }

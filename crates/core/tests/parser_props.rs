@@ -4,7 +4,7 @@
 //! overflow or abort — on arbitrary bytes (decoded as lossy UTF-8), on
 //! token soups biased toward JSON and collapsed-stack syntax, and on
 //! small edits of a valid `ookami-bench-v1` document. `benchdiff`,
-//! `report --validate` and the probes feed these parsers whatever file
+//! `report --derive` and the probes feed these parsers whatever file
 //! they are pointed at.
 
 use ookami_core::obs::{validate_bench_json, Json};

@@ -94,37 +94,6 @@ impl LoopSuite {
         }
     }
 
-    /// Math loops: `y[i] = f(x[i])`.
-    pub fn run_recip(&mut self) {
-        for i in 0..self.n {
-            self.y[i] = 1.0 / self.x[i];
-        }
-    }
-
-    pub fn run_sqrt(&mut self) {
-        for i in 0..self.n {
-            self.y[i] = self.x[i].sqrt();
-        }
-    }
-
-    pub fn run_exp(&mut self) {
-        for i in 0..self.n {
-            self.y[i] = (-self.x[i]).exp();
-        }
-    }
-
-    pub fn run_sin(&mut self) {
-        for i in 0..self.n {
-            self.y[i] = self.x[i].sin();
-        }
-    }
-
-    pub fn run_pow(&mut self) {
-        for i in 0..self.n {
-            self.y[i] = self.x[i].powf(1.5);
-        }
-    }
-
     /// Total working-set bytes (x + y + index).
     pub fn working_set_bytes(&self) -> usize {
         self.n * (8 + 8 + 8)
@@ -198,19 +167,6 @@ mod tests {
         // gather back through the same permutation
         let z: Vec<f64> = (0..s.n).map(|i| s.y[s.index_full[i]]).collect();
         assert_eq!(z, s.x);
-    }
-
-    #[test]
-    fn math_loops_match_libm() {
-        let mut s = LoopSuite::new(512, 7);
-        s.run_exp();
-        for i in 0..s.n {
-            assert_eq!(s.y[i], (-s.x[i]).exp());
-        }
-        s.run_sqrt();
-        for i in 0..s.n {
-            assert_eq!(s.y[i], s.x[i].sqrt());
-        }
     }
 
     proptest::proptest! {

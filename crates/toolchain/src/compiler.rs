@@ -123,15 +123,6 @@ impl Compiler {
         matches!(self, Compiler::Arm)
     }
 
-    /// Does the toolchain's sin use the FTMAD coefficient-table path?
-    /// `ookami_vecmath::sin::sin_ftmad` implements it, but on the cost
-    /// model the FLA-only Horner chains come out *slower* than the
-    /// two-pipe Estrin kernel, so no toolchain selects it here (see the
-    /// EXPERIMENTS.md note on the residual Fig. 2 sin gap).
-    pub fn ftmad_sin(self) -> bool {
-        false
-    }
-
     /// Inner-loop unroll factor the compiler applies to streaming loops.
     pub fn unroll(self) -> usize {
         match self {

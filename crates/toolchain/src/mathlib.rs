@@ -84,11 +84,7 @@ fn eval(
             ExpVariant::Poly13Sleef => exp_poly13(ctx, pg, x, Poly13Style::Sleef),
         },
         MathFunc::Sin => {
-            let r = if c.ftmad_sin() {
-                ookami_vecmath::sin::sin_ftmad(ctx, pg, x)
-            } else {
-                sin(ctx, pg, x)
-            };
+            let r = sin(ctx, pg, x);
             if c.hardened_sin() {
                 // Portable-library special-case masks: two compares and
                 // selects for huge/NaN inputs.
@@ -122,6 +118,7 @@ fn eval(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ookami_sve::{Pred, VVal};
     use ookami_uarch::machines;
 
     fn a64fx() -> &'static Machine {
@@ -191,6 +188,31 @@ mod tests {
         assert!(arm / fuj > 2.0, "arm {arm} fujitsu {fuj}");
         let rel = (arm / 1.8) / (intel / 3.6);
         assert!(rel > 8.0 && rel < 30.0, "arm-vs-skx pow ratio {rel}");
+    }
+
+    /// Why every vector toolchain's sin is the Estrin kernel: on the
+    /// A64FX model the FTMAD sine (`sin_ftmad`: two Horner chains of
+    /// FTMADs, which issue on the FLA pipe alone) costs more per element
+    /// than the Estrin kernel, whose FMAs use both FP pipes.
+    #[test]
+    fn ftmad_sine_costs_more_than_estrin_on_a64fx() {
+        let m = a64fx();
+        let vl = m.vector_width.lanes_f64();
+        let cycles = |kernel: fn(&mut SveCtx, &Pred, &VVal) -> VVal| {
+            let rec = record_kernel(vl, vl as f64, |ctx| {
+                let pg = ctx.ptrue();
+                let data = vec![1.234567f64; vl];
+                let mut out = vec![0.0f64; vl];
+                let x = ctx.ld1d(&pg, &data, 0);
+                let r = kernel(ctx, &pg, &x);
+                ctx.st1d(&pg, &r, &mut out, 0);
+                vec![]
+            });
+            ookami_uarch::analyze_cached(&rec.kernel, m).cycles_per_element()
+        };
+        let estrin = cycles(sin);
+        let ftmad = cycles(ookami_vecmath::sin::sin_ftmad);
+        assert!(ftmad > estrin, "ftmad {ftmad} c/e, estrin {estrin} c/e");
     }
 
     #[test]

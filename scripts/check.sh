@@ -4,7 +4,11 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-export RUSTFLAGS="-D warnings"
+# RUSTFLAGS replaces the `build.rustflags` of .cargo/config.toml, so it
+# repeats that file's flag: the probes below must be built for the host
+# ISA, as their committed baselines were, or `mul_add` becomes a libm call
+# and the trace engines lose most of their throughput.
+export RUSTFLAGS="-D warnings -C target-cpu=native"
 
 echo "== cargo fmt --check"
 cargo fmt --all --check
@@ -38,38 +42,39 @@ cargo run -p ookami-bench --bin figures --release -- fig1 >/dev/null
 cargo run -p ookami-bench --features obs --bin accuracy --release >/dev/null
 cargo run -p ookami-bench --bin forkjoin --release
 
-echo "== trace-replay + compiled-trace identity smoke (svereplay --smoke, both obs modes)"
+# The four probes below that run in both builds run without obs first:
+# the obs run overwrites the file, so benchdiff judges each report in its
+# committed baseline's mode (full, obs).
+echo "== trace-replay + compiled-trace identity (svereplay, both obs modes)"
 # The probe drives interpreter, replayer, and the compiled native path and
 # asserts bit/instruction identity in both builds; with obs it additionally
 # asserts exact counter identity across all three executors.
-cargo run -p ookami-bench --bin svereplay --release -- --smoke
-cargo run -p ookami-bench --features obs --bin svereplay --release -- --smoke
+cargo run -p ookami-bench --bin svereplay --release
+cargo run -p ookami-bench --features obs --bin svereplay --release
 
-echo "== sharded cache-sim identity smoke (cachesim --smoke, both obs modes)"
+echo "== sharded cache-sim identity (cachesim, both obs modes)"
 # Serial CacheSim vs ShardedCacheSim (serial dispatch and pool-parallel at
 # several thread counts) must agree exactly on both machine geometries.
-cargo run -p ookami-bench --bin cachesim --release -- --smoke
-cargo run -p ookami-bench --features obs --bin cachesim --release -- --smoke
+cargo run -p ookami-bench --bin cachesim --release
+cargo run -p ookami-bench --features obs --bin cachesim --release
 
-echo "== irregular-memory family smoke (spmv --smoke, both obs modes)"
+echo "== irregular-memory families (spmv, both obs modes)"
 # CRS/SELL-C-σ/STREAM/stencil executors must stay bit-identical to their
 # fused scalar references, and the ECM model must keep attributing the
 # CRS family bandwidth_bound on the A64FX descriptor.
-cargo run -p ookami-bench --bin spmv --release -- --smoke
-cargo run -p ookami-bench --features obs --bin spmv --release -- --smoke
+cargo run -p ookami-bench --bin spmv --release
+cargo run -p ookami-bench --features obs --bin spmv --release
 
-echo "== counter-layer smoke (ookamistat --smoke, obs on) + trace + schema check"
-cargo run -p ookami-bench --features obs --bin ookamistat --release -- --smoke --trace target/trace.json
-cargo run -p ookami-bench --bin report --release -- --validate target/bench/BENCH_obs.json
+echo "== counter layer (ookamistat, obs on) + Chrome trace"
+cargo run -p ookami-bench --features obs --bin ookamistat --release -- --trace target/trace.json
 
-echo "== span-tree profiler smoke (ookamiprof --smoke, both obs modes)"
+echo "== span-tree profiler (ookamiprof, both obs modes)"
 # With obs the probe asserts histogram counts, span-tree counts, and the
 # 13 deterministic counters agree across interpreter/replayer/compiled,
 # and exports the collapsed flamegraph stacks; without obs it must still
 # produce a schema-valid report from the no-op telemetry layer.
-cargo run -p ookami-bench --bin ookamiprof --release -- --smoke
-cargo run -p ookami-bench --features obs --bin ookamiprof --release -- --smoke
-cargo run -p ookami-bench --bin report --release -- --validate target/bench/BENCH_prof.json
+cargo run -p ookami-bench --bin ookamiprof --release
+cargo run -p ookami-bench --features obs --bin ookamiprof --release
 test -s target/PROFILE.collapsed
 
 echo "== static verifier, mutation self-tests, translation validator and race gate (ookamicheck, obs on)"

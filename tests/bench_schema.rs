@@ -1,9 +1,8 @@
-//! Golden-file gate (observability PR satellite): every `BENCH_*.json`
-//! committed at the repo root must validate against the shared
-//! `ookami-bench-v1` schema. A probe whose output drifts off-schema breaks
-//! `benchdiff`, `report --validate`, and `report --derive` all at once —
-//! this test catches that at `cargo test` time instead of in CI's probe
-//! smoke.
+//! Golden-file gate: every `BENCH_*.json` committed at the repo root must
+//! validate against the shared `ookami-bench-v1` schema. A probe whose
+//! output drifts off-schema breaks `benchdiff` and `report --derive` at
+//! once — this test catches that at `cargo test` time instead of in the
+//! probe runs of `scripts/check.sh`.
 
 use ookami_core::obs::{validate_bench_json, Json};
 
